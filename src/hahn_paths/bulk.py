@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, cos, pi, sin
+from math import comb, pi, sin
 
 from .combinatorics import ModelParams
 from .errors import BoundaryRegimeError, PoleOnContourError
@@ -25,7 +25,6 @@ QUAD_TOL = 1e-12
 QUAD_PANEL_CAP = 2**20
 IMAG_REL_TOL = 1e-10
 IMAG_ABS_FLOOR = 1e-12
-CLOSED_FORM_TOL = 1e-10
 
 
 class Side(Enum):
@@ -118,21 +117,15 @@ def limit_params(regime: LimitRegime) -> LimitKernelParams:
 def limit_tridiagonal(regime: LimitRegime) -> tuple[float, float]:
     """Diagonal A and off-diagonal B of the limiting difference operator.
 
-    Asserts consistency with limit_params: the left endpoint of the scaled
-    spectral segment, (-N~(N~+T~) - A) / (2B), reproduces cos(phi).
+    The left endpoint of the scaled spectral segment, (-N~(N~+T~) - A) / (2B),
+    clamped to [-1, 1], is cos(phi) of limit_params.
     """
     x, d2, d3, d4 = regime.box_distances
     a_diag = -(d2 * d3) - x * d4
     prod = d2 * d3 * x * d4
     if prod <= 0:
         raise BoundaryRegimeError(f"regime point on its box boundary: {regime}")
-    b_off = math.sqrt(prod)
-    nt, tt = regime.Ntilde, regime.Ttilde
-    endpoint = (-nt * (nt + tt) - a_diag) / (2 * b_off)
-    cos_phi = cos(limit_params(regime).phi)
-    clamped = max(-1.0, min(1.0, endpoint))
-    assert abs(cos_phi - clamped) < 1e-12, (cos_phi, endpoint)
-    return a_diag, b_off
+    return a_diag, math.sqrt(prod)
 
 
 def sine_kernel_static(phi: float, d: int) -> float:
@@ -183,6 +176,21 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, oscillations: int = 0) 
     return total
 
 
+def _arc_integral(integrand, angle: float, waves: int, side: Side) -> complex:
+    """(1/2 pi) times the integral of integrand(theta) from theta = -angle to angle.
+
+    The right arc runs counterclockwise through theta = 0, the left arc
+    clockwise through theta = pi; an arc of zero length gives 0.
+    """
+    if side is Side.RIGHT:
+        if angle == 0.0:
+            return 0.0 + 0.0j
+        return _adaptive_simpson(integrand, -angle, angle, QUAD_TOL, waves) / (2.0 * pi)
+    if angle == pi:
+        return 0.0 + 0.0j
+    return -_adaptive_simpson(integrand, angle, 2.0 * pi - angle, QUAD_TOL, waves) / (2.0 * pi)
+
+
 def _unit_arc_integral(c: float, phi: float, dx: int, dt: int, side: Side) -> complex:
     """(1/2 pi i) times the arc integral of (1+cw)^dt w^(dx-1) dw on the unit circle."""
 
@@ -190,14 +198,7 @@ def _unit_arc_integral(c: float, phi: float, dx: int, dt: int, side: Side) -> co
         w = cmath.exp(1j * theta)
         return (1.0 + c * w) ** dt * cmath.exp(1j * dx * theta)
 
-    waves = abs(dx) + abs(dt)
-    if side is Side.RIGHT:
-        if phi == 0.0:
-            return 0.0 + 0.0j
-        return _adaptive_simpson(integrand, -phi, phi, QUAD_TOL, waves) / (2.0 * pi)
-    if phi == pi:
-        return 0.0 + 0.0j
-    return -_adaptive_simpson(integrand, phi, 2.0 * pi - phi, QUAD_TOL, waves) / (2.0 * pi)
+    return _arc_integral(integrand, phi, abs(dx) + abs(dt), side)
 
 
 def _check_real(value: complex) -> float:
@@ -218,9 +219,8 @@ def extended_sine_kernel(
 ) -> float:
     """Limiting space-time kernel at lattice offsets dx = x-y, dt = t-s.
 
-    For dt >= 0 the binomial closed form and the adaptive quadrature are
-    both computed and must agree within 1e-10; for dt < 0 only quadrature
-    applies.  The result is checked to be real.
+    For dt >= 0 the kernel is the binomial closed form; for dt < 0 it is the
+    adaptive quadrature, checked to be real.
     """
     c, phi = params.c, params.phi
     if side is None:
@@ -229,12 +229,9 @@ def extended_sine_kernel(
         raise PoleOnContourError(
             f"integrand pole at w=-1 lies on the {side.value} arc (c=1, dt={dt})"
         )
-    quad = _check_real(_unit_arc_integral(c, phi, dx, dt, side))
     if dt < 0:
-        return quad
-    closed = sum(comb(dt, k) * c**k * arc_monomial(phi, dx + k, side) for k in range(dt + 1))
-    assert abs(closed - quad) < CLOSED_FORM_TOL, (closed, quad)
-    return closed
+        return _check_real(_unit_arc_integral(c, phi, dx, dt, side))
+    return sum(comb(dt, k) * c**k * arc_monomial(phi, dx + k, side) for k in range(dt + 1))
 
 
 # -- frozen-region geometry -------------------------------------------------
@@ -348,14 +345,8 @@ def _hole_kernel_raw(c: float, psi: float, dx: int, dt: int) -> complex:
         w = c * cmath.exp(1j * theta)
         return (1.0 - w) ** dt * c**dx * cmath.exp(1j * dx * theta)
 
-    waves = abs(dx) + abs(dt)
-    if dt >= 0:
-        if psi == 0.0:
-            return 0.0 + 0.0j
-        return _adaptive_simpson(integrand, -psi, psi, QUAD_TOL, waves) / (2.0 * pi)
-    if psi == pi:
-        return 0.0 + 0.0j
-    return -_adaptive_simpson(integrand, psi, 2.0 * pi - psi, QUAD_TOL, waves) / (2.0 * pi)
+    side = Side.RIGHT if dt >= 0 else Side.LEFT
+    return _arc_integral(integrand, psi, abs(dx) + abs(dt), side)
 
 
 def particle_hole_duality_residual(params: LimitKernelParams, dx: int, dt: int) -> float:

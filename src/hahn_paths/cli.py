@@ -111,11 +111,7 @@ def _resolve_model(args) -> ModelParams:
     a, b, c = _parse_ints(args.hexagon, 3, "--hexagon")
     if a < 1 or b < 0 or c < 0:
         raise ValueError(f"hexagon sides out of range: {a},{b},{c}")
-    model = ModelParams(a, b, b + c)
-    swapped = ModelParams(a, c, b + c)
-    if model.family_count() != swapped.family_count():
-        raise AssertionError("hexagon side mapping lost its b/c symmetry")
-    return model
+    return ModelParams(a, b, b + c)
 
 
 def _model_json(model: ModelParams) -> dict:
@@ -267,7 +263,7 @@ def cmd_sample(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "sample",
         "model": _model_json(model),
-        "mode": args.mode,
+        "mode": "exact",
         "seed": args.seed,
         "samples": n,
         "trajectory_file": traj_path,
@@ -356,45 +352,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model: bool = True):
+    def add_command(name: str, func, help_text: str, model: bool = False,
+                    mode: bool = False):
+        # Abbreviations are off so that a removed flag such as `sample --mode`
+        # is an error instead of a prefix of `--model`.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func)
         if model:
             p.add_argument("--model", help="N,S,T path-model parameters")
             p.add_argument("--hexagon", help="a,b,c hexagon sides (maps to N=a, S=b, T=b+c)")
-        p.add_argument("--mode", choices=("exact", "float"), default="exact")
-        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+        if mode:
+            p.add_argument("--mode", choices=("exact", "float"), default="exact")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
+        return p
 
-    p = sub.add_parser("enumerate", help="exact counts, marginals, oracle correlations")
-    add_common(p)
+    p = add_command("enumerate", cmd_enumerate,
+                    "exact counts, marginals, oracle correlations", model=True, mode=True)
     p.add_argument("--query", help='space-time points "x:t,x:t,..."')
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("kernel", help="kernel values and correlation determinants")
-    add_common(p)
+    p = add_command("kernel", cmd_kernel, "kernel values and correlation determinants",
+                    model=True, mode=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--query", help='space-time points "x:t,x:t,..."')
     p.add_argument("--static-t", type=int, help="emit the static kernel matrix at this time")
-    p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("sample", help="draw trajectories and empirical densities")
-    add_common(p)
+    p = add_command("sample", cmd_sample, "draw trajectories and empirical densities",
+                    model=True)
+    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     p.add_argument("--samples", type=int, default=1)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("limit", help="bulk-limit kernel, frozen regions, convergence")
-    add_common(p, model=False)
+    p = add_command("limit", cmd_limit, "bulk-limit kernel, frozen regions, convergence")
     p.add_argument("--regime", required=True, help='macroscopic "N,S,T,t,x"')
     p.add_argument("--rhos", help='scales "20,40,80" for the convergence table')
     p.add_argument("--offsets", help='offsets "dx:dt,..." (default |dx|<=3, |dt|<=2)')
     p.add_argument("--dmax", type=int, default=5, help="sine-kernel table half-width")
-    p.set_defaults(func=cmd_limit)
 
-    p = sub.add_parser("render", help="SVG picture of one sampled trajectory")
-    add_common(p)
+    p = add_command("render", cmd_render, "SVG picture of one sampled trajectory")
     p.add_argument("--trajectory", required=True, help="trajectory file from `sample`")
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--style", choices=STYLES, default="rhombi")
-    p.set_defaults(func=cmd_render)
     return parser
 
 

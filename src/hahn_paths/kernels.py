@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .combinatorics import ModelParams
+from .combinatorics import ModelParams, det_bareiss
 from .errors import GaugeSingularError, IncompatibleRadicalsError
 from .hahn import EXACT, NumericBackend, slice_basis
 from .process import coupling_coefficient_sq
@@ -118,11 +119,10 @@ def extended_kernel(
     return sum_signed_sqrts(terms)
 
 
-def gauged_extended_kernel(
-    model: ModelParams, p: tuple[int, int], q: tuple[int, int]
+def _gauge(
+    model: ModelParams, p: tuple[int, int], q: tuple[int, int], value: SignedSqrt
 ) -> Fraction:
-    """The kernel entry in the rationalizing gauge (same correlation determinants)."""
-    value = extended_kernel(model, p, q)
+    """An entry value at (p; q) carried into the rationalizing gauge."""
     if value.is_zero():
         return Fraction(0)
     x, s = p
@@ -141,32 +141,22 @@ def gauged_extended_kernel(
     return value.coeff * root
 
 
-def _det_fraction(matrix: list[list[Fraction]]) -> Fraction:
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m = [list(row) for row in matrix]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            if factor == 0:
-                continue
-            for j in range(k, n):
-                m[i][j] -= factor * m[k][j]
-    return det
+def gauged_extended_kernel(
+    model: ModelParams, p: tuple[int, int], q: tuple[int, int]
+) -> Fraction:
+    """The kernel entry in the rationalizing gauge (same correlation determinants)."""
+    return _gauge(model, p, q, extended_kernel(model, p, q))
+
+
+def _det_rational(matrix: list[list[Fraction]]) -> Fraction:
+    """Exact determinant: clear each row's denominators, then fraction-free elimination."""
+    scale = 1
+    rows = []
+    for row in matrix:
+        d = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (d // v.denominator) for v in row])
+        scale *= d
+    return Fraction(det_bareiss(rows), scale)
 
 
 @dataclass(frozen=True)
@@ -211,44 +201,18 @@ def _det_float_report(matrix: list[list[float]]) -> DetReport:
     return DetReport(det, n, min_pivot, max_pivot)
 
 
-def _det_leibniz_signed(entries: tuple[tuple, ...]) -> Fraction:
-    """Exact determinant of a small SignedSqrt matrix by permutation expansion.
-
-    Every permutation product carries a perfect-square radicand (each point
-    contributes its weight once per row and once per column), so the sum is
-    rational.
-    """
-    from itertools import permutations
-
-    n = len(entries)
-    total = SignedSqrt.zero()
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        product = SignedSqrt(Fraction(-1 if inversions % 2 else 1))
-        for i in range(n):
-            product = product * entries[i][perm[i]]
-            if product.is_zero():
-                break
-        total = total + product
-    return total.as_rational()
-
-
 @dataclass(frozen=True)
 class KernelMatrix:
     """Extended-kernel values on all ordered pairs of query points.
 
-    ``pristine`` marks a matrix whose entries are untransformed kernel
-    values; its exact determinant can then go through the fast rational
-    gauge.  Transformed matrices fall back to permutation expansion.
+    The exact determinant gauges the stored entries into a rational matrix;
+    the gauge is diagonal, so it leaves every determinant unchanged.
     """
 
     model: ModelParams
     points: tuple[tuple[int, int], ...]
     entries: tuple[tuple, ...]
     backend: NumericBackend
-    pristine: bool = True
 
     @classmethod
     def build(
@@ -265,15 +229,14 @@ class KernelMatrix:
         return cls(model, pts, tuple(rows), backend)
 
     def determinant(self):
-        if self.backend.is_exact:
-            if self.pristine:
-                matrix = [
-                    [gauged_extended_kernel(self.model, p, q) for q in self.points]
-                    for p in self.points
-                ]
-                return _det_fraction(matrix)
-            return _det_leibniz_signed(self.entries)
-        return self.determinant_report().value
+        if not self.backend.is_exact:
+            return self.determinant_report().value
+        return _det_rational(
+            [
+                [_gauge(self.model, p, q, value) for q, value in zip(self.points, row)]
+                for p, row in zip(self.points, self.entries)
+            ]
+        )
 
     def determinant_report(self) -> DetReport:
         matrix = [[float(v) for v in row] for row in self.entries]
@@ -314,6 +277,4 @@ def gauge_transform(matrix: KernelMatrix, gauge) -> KernelMatrix:
             else:
                 new_row.append(value * fi / fj)
         rows.append(tuple(new_row))
-    return KernelMatrix(
-        matrix.model, matrix.points, tuple(rows), matrix.backend, pristine=False
-    )
+    return KernelMatrix(matrix.model, matrix.points, tuple(rows), matrix.backend)

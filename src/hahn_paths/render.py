@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .combinatorics import ModelParams
+from .hahn import slice_params
 from .process import Trajectory
 
 EDGE = 20.0
@@ -40,13 +41,6 @@ def hexagon_vertices(model: ModelParams) -> list[tuple[float, float]]:
     ]
 
 
-def column_bounds(model: ModelParams, t: int) -> tuple[int, int]:
-    """Lattice nodes of the hexagon column at time t: x in [lo, hi]."""
-    lo = max(0, t - (model.T - model.S))
-    hi = min(t, model.S) + model.N - 1
-    return lo, hi
-
-
 def trajectory_lozenges(traj: Trajectory) -> dict[str, list[list[tuple[float, float]]]]:
     """All rhombi of the tiling encoded by the trajectory, in (t, x) coordinates.
 
@@ -68,9 +62,9 @@ def trajectory_lozenges(traj: Trajectory) -> dict[str, list[list[tuple[float, fl
                     [(t, x - 0.5), (t + 1, x - 0.5), (t + 1, x + 0.5), (t, x + 0.5)]
                 )
     for t in range(model.T + 1):
-        lo, hi = column_bounds(model, t)
+        column = slice_params(model, t)
         occupied = set(traj.configurations[t].positions)
-        for y in range(lo, hi + 1):
+        for y in range(column.support_lo, column.support_hi + 1):
             if y in occupied:
                 continue
             quads["gap"].append(

@@ -22,7 +22,13 @@ from hahn_paths import (
     particle_hole_duality_residual,
     sine_kernel_static,
 )
-from hahn_paths.bulk import arc_monomial, arccos_argument
+from hahn_paths.bulk import (
+    IMAG_ABS_FLOOR,
+    IMAG_REL_TOL,
+    _unit_arc_integral,
+    arc_monomial,
+    arccos_argument,
+)
 
 CENTER = LimitRegime(1, 1, 2, 1, 1)
 
@@ -66,6 +72,26 @@ def test_limit_tridiagonal_center():
     assert b_off == pytest.approx(1.0)
     # right spectral endpoint -A/(2B) equals 1 here (the c = 1 boundary case)
     assert -a_diag / (2 * b_off) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2), (1, 2, 3), (2, 1, 4)])
+def test_limit_tridiagonal_endpoint_is_cos_phi(shape):
+    nt, st, tt = shape
+    n_checked = 0
+    for i in range(1, 20):
+        t = tt * i / 20
+        for j in range(1, 40):
+            x = (st + nt) * j / 40
+            try:
+                regime = LimitRegime(nt, st, tt, t, x)
+                a_diag, b_off = limit_tridiagonal(regime)
+                phi = limit_params(regime).phi
+            except (ValueError, BoundaryRegimeError):
+                continue
+            endpoint = (-nt * (nt + tt) - a_diag) / (2 * b_off)
+            assert math.cos(phi) == pytest.approx(max(-1.0, min(1.0, endpoint)), abs=1e-12)
+            n_checked += 1
+    assert n_checked > 300
 
 
 def test_limit_tridiagonal_b_squared_symmetry():
@@ -116,14 +142,17 @@ def test_arc_monomial_partition_of_circle():
 
 
 def test_binomial_equals_quadrature_positive_dt():
-    # extended_sine_kernel already cross-asserts; exercise a parameter grid
-    for c in (0.3, 1.0, 1.6):
+    # the closed form extended_sine_kernel returns for dt >= 0 against quadrature
+    for c in (0.3, 1.0, 1.6, 3.0):
         for phi in (0.5, 2.0):
             p = LimitKernelParams(c, phi)
-            for dt in (1, 2, 3):
-                for dx in (-2, 0, 2):
-                    value = extended_sine_kernel(p, dx, dt)
-                    assert math.isfinite(value)
+            for dt in (0, 1, 2, 3):
+                for dx in range(-3, 4):
+                    for side in (Side.RIGHT, Side.LEFT):
+                        closed = extended_sine_kernel(p, dx, dt, side)
+                        quad = _unit_arc_integral(c, phi, dx, dt, side)
+                        assert abs(closed - quad.real) < 1e-10, (c, phi, dx, dt, side)
+                        assert abs(quad.imag) < IMAG_REL_TOL * abs(quad) + IMAG_ABS_FLOOR
 
 
 def test_negative_dt_quadrature():

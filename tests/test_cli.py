@@ -163,7 +163,7 @@ def test_render_roundtrip(capsys, tmp_path):
         "--out", str(out))
     svg_path = tmp_path / "t.svg"
     code, _, err = run(
-        capsys, "render", "--model", "2,2,4",
+        capsys, "render",
         "--trajectory", str(tmp_path / "s.json.trajectories.json"),
         "--style", "rhombi", "--out", str(svg_path),
     )
@@ -171,7 +171,7 @@ def test_render_roundtrip(capsys, tmp_path):
     text = svg_path.read_text()
     assert text.count('class="up"') == 4
     code2, out2, _ = run(
-        capsys, "render", "--model", "2,2,4",
+        capsys, "render",
         "--trajectory", str(tmp_path / "s.json.trajectories.json"),
         "--style", "rhombi",
     )
@@ -181,13 +181,40 @@ def test_render_roundtrip(capsys, tmp_path):
 def test_render_bad_trajectory_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, _, _ = run(capsys, "render", "--model", "1,1,2", "--trajectory", str(bad))
+    code, _, _ = run(capsys, "render", "--trajectory", str(bad))
     assert code == 2
     missing_index = tmp_path / "ok.json"
     run(capsys, "sample", "--model", "1,1,2", "--samples", "1",
         "--out", str(tmp_path / "s2.json"))
     code, _, _ = run(
-        capsys, "render", "--model", "1,1,2",
+        capsys, "render",
         "--trajectory", str(tmp_path / "s2.json.trajectories.json"), "--index", "9",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--model", "2,1,2", "--seed", "1"),
+        ("enumerate", "--model", "2,1,2", "--format", "csv"),
+        ("kernel", "--model", "2,1,3", "--seed", "1"),
+        ("kernel", "--model", "2,1,3", "--format", "svg"),
+        ("sample", "--model", "1,1,2", "--mode", "exact"),
+        ("sample", "--model", "1,1,2", "--format", "json"),
+        ("limit", "--regime", "1,1,2,1,1", "--mode", "exact"),
+        ("limit", "--regime", "1,1,2,1,1", "--seed", "1"),
+        ("limit", "--regime", "1,1,2,1,1", "--format", "json"),
+        ("render", "--trajectory", "t.json", "--model", "1,1,2"),
+        ("render", "--trajectory", "t.json", "--hexagon", "1,1,1"),
+        ("render", "--trajectory", "t.json", "--mode", "exact"),
+        ("render", "--trajectory", "t.json", "--seed", "1"),
+        ("render", "--trajectory", "t.json", "--format", "svg"),
+    ],
+    ids=" ".join,
+)
+def test_removed_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err

@@ -17,13 +17,12 @@ from hahn_paths import (
     slice_params,
     slice_weight,
 )
-from hahn_paths.hahn import _case_params, _pochhammer_weight, slice_basis
+from hahn_paths.hahn import _case_params, _hahn_norm2_signed, _pochhammer_weight, slice_basis
 
 
 def test_backend_validation():
     assert NumericBackend("exact").is_exact
-    with pytest.raises(ValueError):
-        NumericBackend("float", tol=0.0)
+    assert not NumericBackend("float").is_exact
     with pytest.raises(ValueError):
         NumericBackend("fuzzy")
 
@@ -124,6 +123,12 @@ def test_norm_closed_form_matches_direct_sum(model):
             )
             assert basis.norm2(k) == direct
             assert hahn_norm2(k, p.alpha, p.beta, p.M) == abs(basis.lam) * direct
+            signed = sum(
+                _pochhammer_weight(xp, p.alpha, p.beta, p.M)
+                * hahn_q(k, xp, p.alpha, p.beta, p.M) ** 2
+                for xp in range(p.M + 1)
+            )
+            assert _hahn_norm2_signed(k, p.alpha, p.beta, p.M) == signed
 
 
 @pytest.mark.parametrize("model", small_sweep(), ids=str)

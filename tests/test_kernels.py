@@ -15,6 +15,7 @@ from hahn_paths import (
     correlation,
     extended_kernel,
     gauge_transform,
+    oracle_correlation,
     oracle_tables,
     static_kernel,
     transfer_matrix,
@@ -192,13 +193,17 @@ def test_time_reversal_symmetry(model):
 
 
 def test_gauge_transform_invariance():
-    model = ModelParams(2, 1, 3)
-    query = CorrelationQuery(((0, 1), (2, 2)))
-    matrix = KernelMatrix.build(model, query, EXACT)
-    base = matrix.determinant()
-    for gauge in (lambda x, t: 1, lambda x, t: 2**t, lambda x, t: (-1) ** x):
-        transformed = gauge_transform(matrix, gauge)
-        assert transformed.determinant() == base
+    cases = [
+        (ModelParams(2, 1, 3), ((0, 1), (2, 2))),
+        (ModelParams(3, 2, 5), ((1, 1), (2, 3), (3, 4))),
+    ]
+    for model, points in cases:
+        matrix = KernelMatrix.build(model, CorrelationQuery(points), EXACT)
+        base = matrix.determinant()
+        assert base == oracle_correlation(model, list(points))
+        for gauge in (lambda x, t: 1, lambda x, t: 2**t, lambda x, t: (-1) ** x):
+            transformed = gauge_transform(matrix, gauge)
+            assert transformed.determinant() == base
     with pytest.raises(ValueError):
         gauge_transform(matrix, lambda x, t: 0)
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import small_sweep
+from conftest import small_sweep, sweep_models
 from hahn_paths import (
     ModelParams,
     SamplerSizeError,
@@ -19,7 +19,7 @@ from hahn_paths import (
     transition_probability_determinantal,
 )
 from hahn_paths.hahn import slice_basis
-from hahn_paths.process import coupling_coefficient_sq
+from hahn_paths.process import _normalization, _vandermonde_sq, coupling_coefficient_sq
 
 
 def configs_at(model, t):
@@ -65,6 +65,19 @@ def test_slice_distribution_matches_oracle(model):
         marginal = Counter(f.configuration(t).positions for f in fams)
         for z in configs_at(model, t):
             assert slice_distribution(model, t, z) == Fraction(marginal[z], total)
+
+
+@pytest.mark.parametrize("model", sweep_models(3, 6), ids=str)
+def test_normalization_closed_form_matches_subset_sum(model):
+    for t in range(model.T + 1):
+        basis = slice_basis(model, t)
+        subset_sum = Fraction(0)
+        for z in configs_at(model, t):
+            w_prod = Fraction(1)
+            for x in z:
+                w_prod *= basis.weights[x]
+            subset_sum += _vandermonde_sq(z) * w_prod
+        assert _normalization(model, t) == subset_sum, (model, t)
 
 
 def test_transition_examples():
