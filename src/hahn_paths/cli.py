@@ -241,6 +241,8 @@ def cmd_sample(args) -> int:
     if args.out is None:
         raise ValueError("--out is required for sample (it writes two files)")
     n = args.samples
+    if n < 1:
+        raise ValueError(f"--samples must be at least 1, got {n}")
     counts: dict[int, dict[int, int]] = {t: {} for t in range(model.T + 1)}
     records = []
     for k in range(n):

@@ -13,6 +13,14 @@ class SamplerSizeError(HahnPathsError):
     """The subset-enumeration sampler is limited to N <= 20 paths."""
 
 
+class TransitionRowSumError(HahnPathsError):
+    """A transition-table row does not carry its full mass Delta(x) (T-t)_N.
+
+    Raised when the admissible moves out of a configuration do not sum to the
+    row's exact total, as for a configuration outside its slice's support.
+    """
+
+
 class DegenerateParameterError(HahnPathsError):
     """A zero denominator Pochhammer was reached with a nonzero numerator."""
 

@@ -4,20 +4,23 @@ Slice distributions are squared-Vandermonde ensembles with the slice weight;
 one-step transitions have an exact product form and an equivalent
 determinantal form.  The transfer matrix couples the orthonormal systems of
 consecutive slices through the coupling coefficients c_i^t.  The sampler
-enumerates the at most 2^N admissible mover subsets per step and draws from
-the exact transition law.
+walks the move vectors depth-first, pruning a branch as soon as a path leaves
+the next support, touches its neighbour or takes a zero-weight step, so only
+admissible moves are built; each carries the integer weight
+Delta(y) prod_i a_i(eps_i), and one 64-bit draw selects a move by an integer
+comparison against the cumulative weights.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .combinatorics import Configuration, ModelParams, PathFamily, det_bareiss
-from .errors import ParameterRegimeError, SamplerSizeError
+from .errors import ParameterRegimeError, SamplerSizeError, TransitionRowSumError
 from .hahn import pochhammer, slice_basis, slice_params
 from .radicals import SignedSqrt, sum_signed_sqrts
 
@@ -56,11 +59,12 @@ def coupling_coefficients(model: ModelParams, t: int) -> CouplingCoefficients:
     return CouplingCoefficients(t, values)
 
 
-def _vandermonde_sq(z: tuple[int, ...]) -> int:
+def _vandermonde(z: tuple[int, ...]) -> int:
+    """Delta(z), the product of z_j - z_i over i < j."""
     v = 1
     for i in range(len(z)):
         for j in range(i + 1, len(z)):
-            v *= (z[j] - z[i]) ** 2
+            v *= z[j] - z[i]
     return v
 
 
@@ -98,7 +102,7 @@ def slice_distribution(model: ModelParams, t: int, z: tuple[int, ...]) -> Fracti
     w_prod = Fraction(1)
     for x in z:
         w_prod *= basis.weights[x]
-    return _vandermonde_sq(z) * w_prod / _normalization(model, t)
+    return _vandermonde(z) ** 2 * w_prod / _normalization(model, t)
 
 
 def _validate_config(model: ModelParams, t: int, z: tuple[int, ...]) -> None:
@@ -121,20 +125,13 @@ def transition_probability(
     N, S, T = model.N, model.S, model.T
     if any(d not in (0, 1) for d in (yi - xi for xi, yi in zip(x, y))):
         return Fraction(0)
-    num = 1
-    for i in range(N):
-        for j in range(i + 1, N):
-            num *= y[j] - y[i]
-    den = 1
-    for i in range(N):
-        for j in range(i + 1, N):
-            den *= x[j] - x[i]
+    num = _vandermonde(y)
     for xi, yi in zip(x, y):
         if yi == xi + 1:
             num *= N + S - xi - 1
         else:
             num *= xi + T - t - S
-    return Fraction(num, den * pochhammer(T - t, N))
+    return Fraction(num, _vandermonde(x) * pochhammer(T - t, N))
 
 
 def transition_probability_determinantal(
@@ -152,14 +149,9 @@ def transition_probability_determinantal(
         ]
         for xi in x
     ]
-    det = det_bareiss(matrix)
-    num = det
-    den = pochhammer(T - t, N)
-    for i in range(N):
-        for j in range(i + 1, N):
-            num *= y[j] - y[i]
-            den *= x[j] - x[i]
-    return Fraction(num, den)
+    return Fraction(
+        det_bareiss(matrix) * _vandermonde(y), _vandermonde(x) * pochhammer(T - t, N)
+    )
 
 
 def transfer_matrix(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:
@@ -237,32 +229,48 @@ class Trajectory:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _transition_table(
     model: ModelParams, t: int, positions: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
-    """Admissible successor configurations and their exact CDF."""
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Admissible successors of ``positions`` and their cumulative integer weights.
+
+    Successors come in eps-lexicographic order (eps_1 most significant, 0
+    before 1).  The weight of y = x + eps is Delta(y) prod_i a_i(eps_i), with
+    a_i(1) = N+S-x_i-1 and a_i(0) = x_i+T-t-S, so P(y | x) is the weight over
+    the row total Delta(x) (T-t)_N, which the last cumulative weight must equal.
+    """
+    N, S, T = model.N, model.S, model.T
+    nxt = slice_params(model, t + 1)
+    lo, hi = nxt.support_lo, nxt.support_hi
     candidates = []
-    probs = []
-    for mv in product((0, 1), repeat=model.N):
-        y = tuple(p + m for p, m in zip(positions, mv))
-        if any(b <= a for a, b in zip(y, y[1:])):
-            continue
-        support = slice_basis(model, t + 1).support
-        if any(v not in support for v in y):
-            continue
-        p = transition_probability(model, t, positions, y)
-        if p > 0:
+    cum = []
+    total = 0
+
+    def walk(y: tuple[int, ...], weight: int) -> None:
+        nonlocal total
+        i = len(y)
+        if i == N:
+            total += weight
             candidates.append(y)
-            probs.append(p)
-    total = sum(probs, start=Fraction(0))
-    assert total == 1, f"transition row sum {total} != 1 at t={t}, x={positions}"
-    cdf = []
-    acc = Fraction(0)
-    for p in probs:
-        acc += p
-        cdf.append(acc)
-    return tuple(candidates), tuple(cdf)
+            cum.append(total)
+            return
+        xi = positions[i]
+        last = y[-1] if y else lo - 1
+        for yi, a in ((xi, xi + T - t - S), (xi + 1, N + S - xi - 1)):
+            if a <= 0 or not last < yi <= hi:
+                continue
+            for yj in y:
+                a *= yi - yj
+            walk(y + (yi,), weight * a)
+
+    walk((), 1)
+    row = _vandermonde(positions) * pochhammer(T - t, N)
+    if total != row:
+        raise TransitionRowSumError(
+            f"transition row sum {total} != {row} at t={t}, x={positions}"
+        )
+    return tuple(candidates), tuple(cum)
 
 
 def sample_trajectory(model: ModelParams, seed: int) -> Trajectory:
@@ -270,9 +278,10 @@ def sample_trajectory(model: ModelParams, seed: int) -> Trajectory:
 
     Reproducibility contract: the generator is Python's Mersenne Twister
     seeded with the given 64-bit integer; each step consumes exactly one
-    64-bit draw u = getrandbits(64) / 2**64 and walks the exact CDF of the
-    one-step law.  Identical seeds give identical trajectories on any
-    platform.
+    64-bit draw r = getrandbits(64) and takes the first admissible move whose
+    cumulative weight exceeds (r * D) >> 64, where D is the row total.  That
+    is the first move whose exact CDF exceeds r / 2**64.  Identical seeds give
+    identical trajectories on any platform.
     """
     if model.N > SAMPLER_MAX_PATHS:
         raise SamplerSizeError(
@@ -282,11 +291,7 @@ def sample_trajectory(model: ModelParams, seed: int) -> Trajectory:
     positions = tuple(range(model.N))
     configs = [Configuration(0, positions)]
     for t in range(model.T):
-        candidates, cdf = _transition_table(model, t, positions)
-        u = Fraction(rng.getrandbits(64), 2**64)
-        idx = 0
-        while cdf[idx] <= u:
-            idx += 1
-        positions = candidates[idx]
+        candidates, cum = _transition_table(model, t, positions)
+        positions = candidates[bisect_right(cum, (rng.getrandbits(64) * cum[-1]) >> 64)]
         configs.append(Configuration(t + 1, positions))
     return Trajectory(model, tuple(configs))

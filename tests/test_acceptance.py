@@ -142,10 +142,11 @@ def test_criterion_2_identity_suite():
                 px = slice_distribution(model, t, x)
                 if px == 0:
                     continue
-                candidates, cdf = _transition_table(model, t, x)
-                prev = Fraction(0)
-                for y, acc in zip(candidates, cdf):
-                    arriving[y] = arriving.get(y, Fraction(0)) + px * (acc - prev)
+                candidates, cum = _transition_table(model, t, x)
+                prev = 0
+                for y, acc in zip(candidates, cum):
+                    weight = Fraction(acc - prev, cum[-1])
+                    arriving[y] = arriving.get(y, Fraction(0)) + px * weight
                     prev = acc
             for y, mass in arriving.items():
                 assert mass == slice_distribution(model, t + 1, y), (model, t, y)

@@ -114,6 +114,18 @@ def test_sample_requires_out(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_sample_nonpositive_samples_exit_2(capsys, tmp_path, samples):
+    out = tmp_path / "s.json"
+    code, _, err = run(
+        capsys, "sample", "--model", "1,1,2", "--samples", samples, "--out", str(out),
+    )
+    assert code == 2
+    assert "--samples" in err
+    assert not out.exists()
+    assert not (tmp_path / "s.json.trajectories.json").exists()
+
+
 def test_sample_forced_model_identical_trajectories(capsys, tmp_path):
     out = tmp_path / "flat.json"
     run(capsys, "sample", "--model", "2,0,4", "--samples", "5", "--out", str(out))
