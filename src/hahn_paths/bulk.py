@@ -17,7 +17,7 @@ from enum import Enum
 from math import comb, pi, sin
 
 from .combinatorics import ModelParams
-from .errors import BoundaryRegimeError, PoleOnContourError
+from .errors import BoundaryRegimeError, PoleOnContourError, QuadratureError
 from .hahn import slice_basis
 from .kernels import extended_kernel
 
@@ -158,7 +158,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, oscillations: int = 0) 
         x0, f0, x2, f2, x1, f1, budget = stack.pop()
         panels += 1
         if panels > QUAD_PANEL_CAP:
-            raise RuntimeError("quadrature panel budget exhausted")
+            raise QuadratureError(f"quadrature panel budget {QUAD_PANEL_CAP} exhausted")
         whole = simpson(x0, f0, x2, f2, x1, f1)
         lm = 0.5 * (x0 + x1)
         rm = 0.5 * (x1 + x2)
@@ -203,7 +203,8 @@ def _unit_arc_integral(c: float, phi: float, dx: int, dt: int, side: Side) -> co
 
 def _check_real(value: complex) -> float:
     limit = IMAG_REL_TOL * abs(value) + IMAG_ABS_FLOOR
-    assert abs(value.imag) < limit, f"imaginary residue {value.imag} exceeds {limit}"
+    if not abs(value.imag) < limit:
+        raise QuadratureError(f"imaginary residue {value.imag} exceeds {limit}")
     return value.real
 
 

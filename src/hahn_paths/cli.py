@@ -2,7 +2,8 @@
 
 Outputs are machine-readable (JSON/CSV/SVG), deterministic for a fixed
 (config, seed), and written atomically.  Exit codes: 0 ok, 2 input or
-feasibility problem, 3 resource limit, 4 mathematical boundary signal.
+feasibility problem, 3 resource limit, 4 mathematical boundary signal or
+failed invariant; each package error carries its code as ``exit_code``.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -23,18 +25,12 @@ from .bulk import (
     sine_kernel_static,
 )
 from .combinatorics import (
-    Configuration,
     ModelParams,
+    PathFamily,
     enumerate_path_families,
     oracle_correlation,
 )
-from .errors import (
-    BoundaryRegimeError,
-    EnumerationCapExceeded,
-    GaugeSingularError,
-    PoleOnContourError,
-    SamplerSizeError,
-)
+from .errors import HahnPathsError, PoleOnContourError
 from .hahn import EXACT, FLOAT, slice_basis
 from .kernels import CorrelationQuery, KernelMatrix, static_kernel
 from .process import Trajectory, sample_trajectory
@@ -44,8 +40,6 @@ SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_RESOURCE = 3
-EXIT_BOUNDARY = 4
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -135,20 +129,19 @@ def _trajectory_to_runs(traj: Trajectory) -> list[str]:
 
 
 def _runs_to_trajectory(model: ModelParams, runs: list[str]) -> Trajectory:
-    import re
-
     moves = []
     for text in runs:
+        if not isinstance(text, str) or not re.fullmatch(r"(\d+[FU])*", text):
+            raise ValueError(f"path code {text!r} is not a run of <count>F/<count>U")
         seq: list[int] = []
         for count, letter in re.findall(r"(\d+)([FU])", text):
+            if len(seq) + int(count) > model.T:
+                raise ValueError(f"path code {text!r} has more than T={model.T} steps")
             seq.extend([1 if letter == "U" else 0] * int(count))
         moves.append(tuple(seq))
-    configs = []
-    for t in range(model.T + 1):
-        configs.append(
-            Configuration(t, tuple(i + sum(moves[i][:t]) for i in range(model.N)))
-        )
-    return Trajectory(model, tuple(configs))
+    fam = PathFamily(model, tuple(moves))
+    fam.validate()
+    return Trajectory(model, tuple(fam.configuration(t) for t in range(model.T + 1)))
 
 
 def cmd_enumerate(args) -> int:
@@ -401,18 +394,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationCapExceeded as exc:
+    except HahnPathsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SamplerSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (BoundaryRegimeError, PoleOnContourError, GaugeSingularError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
 
 
 if __name__ == "__main__":

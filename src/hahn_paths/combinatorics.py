@@ -158,20 +158,20 @@ def enumerate_path_families(model: ModelParams, cap: int | None = None) -> list[
     if total > cap:
         raise EnumerationCapExceeded(f"{total} families exceeds cap {cap}")
 
-    N, S, T = model.N, model.S, model.T
+    from .hahn import slice_params  # not at the top: hahn imports ModelParams from here
+
+    N, T = model.N, model.T
     families: list[PathFamily] = []
     move_vectors = list(product((0, 1), repeat=N))
+    params = (slice_params(model, t) for t in range(T + 1))
+    bounds = [(p.support_lo, p.support_hi) for p in params]
 
     def admissible(positions: tuple[int, ...], mv: tuple[int, ...], t_next: int) -> bool:
-        prev = None
-        lo_rises = max(0, t_next - (T - S))
-        hi_rises = min(t_next, S)
+        lo, hi = bounds[t_next]
+        prev = lo - 1
         for i in range(N):
             x = positions[i] + mv[i]
-            if prev is not None and x <= prev:
-                return False
-            rises = x - i
-            if not lo_rises <= rises <= hi_rises:
+            if not prev < x <= hi:
                 return False
             prev = x
         return True

@@ -1,16 +1,22 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package; each class carries its CLI exit code."""
 
 
 class HahnPathsError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 4
+
 
 class EnumerationCapExceeded(HahnPathsError):
     """Brute-force enumeration would produce more families than the cap allows."""
 
+    exit_code = 2
+
 
 class SamplerSizeError(HahnPathsError):
-    """The subset-enumeration sampler is limited to N <= 20 paths."""
+    """The exact sampler is limited to N <= 20 paths."""
+
+    exit_code = 3
 
 
 class TransitionRowSumError(HahnPathsError):
@@ -29,16 +35,16 @@ class ParameterRegimeError(HahnPathsError):
     """Parameters are outside the regime where the requested quantity is positive/defined."""
 
 
-class GaugeSingularError(HahnPathsError):
-    """A vanishing coupling coefficient was divided against a nonzero term."""
-
-
 class BoundaryRegimeError(HahnPathsError):
     """The macroscopic regime point sits on the boundary of its admissible box."""
 
 
 class PoleOnContourError(HahnPathsError):
     """The contour integrand has a pole on the integration arc (c = 1 with negative power)."""
+
+
+class QuadratureError(HahnPathsError):
+    """An arc quadrature ran out of panels or left an imaginary residue too large."""
 
 
 class IncompatibleRadicalsError(HahnPathsError):

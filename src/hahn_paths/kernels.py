@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .combinatorics import ModelParams, det_bareiss
-from .errors import GaugeSingularError, IncompatibleRadicalsError
+from .errors import IncompatibleRadicalsError
 from .hahn import EXACT, NumericBackend, slice_basis
 from .process import coupling_coefficient_sq
 from .radicals import SignedSqrt, sqrt_fraction, sum_signed_sqrts
@@ -83,37 +83,23 @@ def extended_kernel(
     terms = []
     if s >= t:
         for i in range(model.N):
-            prod_c2 = Fraction(1)
-            for j in range(t, s):
-                c2 = coupling_coefficient_sq(model, j, i)
-                if c2 == 0:
-                    if b_s.q(i, x) != 0 and b_t.q(i, y) != 0:
-                        raise GaugeSingularError(
-                            f"c_{i}^{j} = 0 divides a nonzero term of K({p}; {q})"
-                        )
-                    prod_c2 = None
-                    break
-                prod_c2 *= c2
-            if prod_c2 is None:
-                continue
             coeff = b_s.q(i, x) * b_t.q(i, y)
             if coeff == 0:
                 continue
+            prod_c2 = Fraction(1)
+            for j in range(t, s):
+                prod_c2 *= coupling_coefficient_sq(model, j, i)
             rad = w_pair / (b_s.norm2(i) * b_t.norm2(i) * prod_c2)
             terms.append(SignedSqrt(coeff, rad))
     else:
         top = min(b_s.params.M, b_t.params.M)
         for i in range(model.N, top + 1):
-            prod_c2 = Fraction(1)
-            for j in range(s, t):
-                prod_c2 *= coupling_coefficient_sq(model, j, i)
-                if prod_c2 == 0:
-                    break
-            if prod_c2 == 0:
-                continue
             coeff = -b_s.q(i, x) * b_t.q(i, y)
             if coeff == 0:
                 continue
+            prod_c2 = Fraction(1)
+            for j in range(s, t):
+                prod_c2 *= coupling_coefficient_sq(model, j, i)
             rad = w_pair * prod_c2 / (b_s.norm2(i) * b_t.norm2(i))
             terms.append(SignedSqrt(coeff, rad))
     return sum_signed_sqrts(terms)

@@ -5,10 +5,10 @@ one-step transitions have an exact product form and an equivalent
 determinantal form.  The transfer matrix couples the orthonormal systems of
 consecutive slices through the coupling coefficients c_i^t.  The sampler
 walks the move vectors depth-first, pruning a branch as soon as a path leaves
-the next support, touches its neighbour or takes a zero-weight step, so only
-admissible moves are built; each carries the integer weight
-Delta(y) prod_i a_i(eps_i), and one 64-bit draw selects a move by an integer
-comparison against the cumulative weights.
+the next support or touches its neighbour (a step of weight <= 0 always leaves
+the next support), so only admissible moves are built; each carries the integer
+weight Delta(y) prod_i a_i(eps_i), and one 64-bit draw selects a move by an
+integer comparison against the cumulative weights.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import Configuration, ModelParams, PathFamily, det_bareiss
-from .errors import ParameterRegimeError, SamplerSizeError, TransitionRowSumError
+from .errors import SamplerSizeError, TransitionRowSumError
 from .hahn import pochhammer, slice_basis, slice_params
 from .radicals import SignedSqrt, sum_signed_sqrts
 
@@ -75,7 +75,7 @@ def _leading_coefficient(k: int, alpha: int, beta: int, M: int) -> Fraction:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _normalization(model: ModelParams, t: int) -> Fraction:
     """Partition function of the slice-t ensemble, from the closed-form norms."""
     basis = slice_basis(model, t)
@@ -168,8 +168,6 @@ def transfer_matrix(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:
         num = (T - t - S + x) * (t + N - x)
     else:
         return SignedSqrt.zero()
-    if num < 0:
-        raise ParameterRegimeError(f"negative transfer weight at t={t}, x={x}, y={y}")
     return SignedSqrt.sqrt(Fraction(num, den))
 
 
@@ -258,7 +256,7 @@ def _transition_table(
         xi = positions[i]
         last = y[-1] if y else lo - 1
         for yi, a in ((xi, xi + T - t - S), (xi + 1, N + S - xi - 1)):
-            if a <= 0 or not last < yi <= hi:
+            if not last < yi <= hi:
                 continue
             for yj in y:
                 a *= yi - yj
@@ -285,7 +283,7 @@ def sample_trajectory(model: ModelParams, seed: int) -> Trajectory:
     """
     if model.N > SAMPLER_MAX_PATHS:
         raise SamplerSizeError(
-            f"subset sampler limited to N <= {SAMPLER_MAX_PATHS}, got N={model.N}"
+            f"exact sampler limited to N <= {SAMPLER_MAX_PATHS}, got N={model.N}"
         )
     rng = random.Random(seed)
     positions = tuple(range(model.N))

@@ -9,6 +9,7 @@ from hahn_paths import (
     LimitRegime,
     ModelParams,
     PoleOnContourError,
+    QuadratureError,
     Region,
     Side,
     amplitude_inversion,
@@ -25,6 +26,7 @@ from hahn_paths import (
 from hahn_paths.bulk import (
     IMAG_ABS_FLOOR,
     IMAG_REL_TOL,
+    _check_real,
     _unit_arc_integral,
     arc_monomial,
     arccos_argument,
@@ -153,6 +155,12 @@ def test_binomial_equals_quadrature_positive_dt():
                         quad = _unit_arc_integral(c, phi, dx, dt, side)
                         assert abs(closed - quad.real) < 1e-10, (c, phi, dx, dt, side)
                         assert abs(quad.imag) < IMAG_REL_TOL * abs(quad) + IMAG_ABS_FLOOR
+
+
+def test_check_real_rejects_imaginary_residue():
+    assert _check_real(2.0 + 1e-18j) == 2.0
+    with pytest.raises(QuadratureError):
+        _check_real(1 + 1j)
 
 
 def test_negative_dt_quadrature():

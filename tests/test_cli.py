@@ -2,7 +2,16 @@ import json
 
 import pytest
 
+import hahn_paths
+from hahn_paths import EnumerationCapExceeded, HahnPathsError, SamplerSizeError, bulk, cli
 from hahn_paths.cli import main
+
+PACKAGE_ERRORS = [
+    obj
+    for obj in (getattr(hahn_paths, name) for name in hahn_paths.__all__)
+    if isinstance(obj, type) and issubclass(obj, HahnPathsError)
+]
+EXIT_CODES = {EnumerationCapExceeded: 2, SamplerSizeError: 3}
 
 
 def run(capsys, *argv):
@@ -160,6 +169,24 @@ def test_limit_boundary_exit_4(capsys):
     assert code == 4
 
 
+def test_limit_quadrature_budget_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr(bulk, "QUAD_PANEL_CAP", 1)
+    code, _, err = run(capsys, "limit", "--regime", "1,1,2,1,1")
+    assert code == 4
+    assert err.startswith("error: quadrature panel budget")
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda e: e.__name__)
+def test_package_errors_map_to_exit_codes(capsys, monkeypatch, error):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_enumerate", fail)
+    code, _, err = run(capsys, "enumerate", "--model", "1,1,2")
+    assert code == EXIT_CODES.get(error, 4)
+    assert err == "error: boom\n"
+
+
 def test_limit_convergence_table(capsys):
     doc = run_json(
         capsys, "limit", "--regime", "1,1,2,1,1", "--rhos", "4,8",
@@ -203,6 +230,20 @@ def test_render_bad_trajectory_exit_2(capsys, tmp_path):
         "--trajectory", str(tmp_path / "s2.json.trajectories.json"), "--index", "9",
     )
     assert code == 2
+    cases = [
+        ((1, 1, 3), ["1U"]),  # too few steps
+        ((1, 1, 3), ["1U5F"]),  # too many steps
+        ((1, 1, 3), ["1Uxyz2F"]),  # stray characters
+        ((1, 1, 3), [12]),  # not a string
+        ((1, 1, 3), ["100000000000000000000U"]),  # a run far longer than T
+        ((2, 1, 2), ["1U1F"]),  # one path for a two-path model
+    ]
+    for (n, s, t), paths in cases:
+        doc = {"model": {"N": n, "S": s, "T": t}, "trajectories": [{"paths": paths}]}
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "render", "--trajectory", str(bad))
+        assert code == 2, (paths, err)
+        assert err.startswith("error: "), (paths, err)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import small_sweep
+from conftest import small_sweep, sweep_models
 from hahn_paths import (
     Case,
     DegenerateParameterError,
@@ -17,7 +17,14 @@ from hahn_paths import (
     slice_params,
     slice_weight,
 )
-from hahn_paths.hahn import _case_params, _hahn_norm2_signed, _pochhammer_weight, slice_basis
+from hahn_paths.hahn import (
+    _admissible_cases,
+    _case_params,
+    _hahn_norm2_signed,
+    _pochhammer_weight,
+    slice_basis,
+)
+from hahn_paths.process import coupling_coefficient_sq
 
 
 def test_backend_validation():
@@ -53,12 +60,34 @@ def test_slice_params_case_structure():
 
 @pytest.mark.parametrize("model", small_sweep(), ids=str)
 def test_boundary_cases_agree(model):
-    from hahn_paths.hahn import _admissible_cases
-
     for t in range(model.T + 1):
         cases = _admissible_cases(model, t)
         params = {_case_params(model, t, case) for case in cases}
         assert len(params) == 1
+
+
+def test_slice_identities_sweep():
+    # Facts slice_params and extended_kernel rely on without checking them,
+    # over N <= 8, S <= T <= 16 (1216 models), from parameters alone.
+    for model in sweep_models(8, 16):
+        N, S, T = model.N, model.S, model.T
+        dims = []
+        for t in range(T + 1):
+            cases = _admissible_cases(model, t)
+            assert len({_case_params(model, t, case) for case in cases}) == 1, (model, t)
+            p = slice_params(model, t)
+            assert (p.shift, p.shift + p.M) == (max(0, t + S - T), min(t, S) + N - 1)
+            dims.append(p.M)
+        # K((x, s); (y, t)) multiplies c_i^j for j in [t, s) and i < N when
+        # s >= t, and for j in [s, t) and N <= i <= min(M_s, M_t) when s < t.
+        top = [N - 1] * T
+        for s in range(T + 1):
+            for t in range(s + 1, T + 1):
+                for j in range(s, t):
+                    top[j] = max(top[j], min(dims[s], dims[t]))
+        for j in range(T):
+            for i in range(top[j] + 1):
+                assert coupling_coefficient_sq(model, j, i) > 0, (model, j, i)
 
 
 def test_weight_examples():

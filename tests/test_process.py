@@ -168,6 +168,10 @@ def test_transition_table_cache_is_bounded():
     m = ModelParams(4, 4, 8)
     states = sum(1 for t in range(m.T) for _ in configs_at(m, t))
     assert states <= _transition_table.cache_info().maxsize
+    # Every cache keyed by model is bounded; 1024 slices is above the 283 a
+    # convergence probe at rho = 20, 40, 80 touches.
+    for cache in (_transition_table, slice_basis, _normalization):
+        assert cache.cache_info().maxsize == 1024
 
 
 def test_transfer_matrix_examples():
