@@ -430,14 +430,16 @@ def convergence_probe(
     For each scale rho the model is the rounded regime; the pre-limit kernel
     at offsets (dx, dt) around the base point is divided by the conjugation
     prefactor g^dt (g from the macroscopic location) and compared to the
-    extended sine kernel.  If the rounded base point violates a needed
-    support, x is repaired within +-1 and the repair recorded.
+    extended sine kernel, which does not depend on rho and is evaluated
+    once per offset.  If the rounded base point violates a needed support,
+    x is repaired within +-1 and the repair recorded.
     """
     params = limit_params(regime)
     x_dist, _, d3, d4 = regime.box_distances
     g = math.sqrt(
         d4 * d3 / ((regime.ttilde + regime.Ntilde) * (regime.Ttilde + regime.Ntilde - regime.ttilde))
     )
+    limits: dict[tuple[int, int], float] = {}
     rows = []
     for rho in rhos:
         model = ModelParams(
@@ -468,7 +470,8 @@ def convergence_probe(
         for dx, dt in offsets:
             pre = float(extended_kernel(model, (x_base + dx, t_base), (x_base, t_base + dt)))
             aligned = pre / g**dt
-            lim = extended_sine_kernel(params, dx, dt)
-            cells.append(ProbeCell((dx, dt), aligned, lim))
+            if (dx, dt) not in limits:
+                limits[dx, dt] = extended_sine_kernel(params, dx, dt)
+            cells.append(ProbeCell((dx, dt), aligned, limits[dx, dt]))
         rows.append(ProbeRow(rho, model, t_base, x_base, x_base - x_round, tuple(cells)))
     return ProbeTable(regime, params, tuple(rows))

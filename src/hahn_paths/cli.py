@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -276,6 +277,10 @@ def cmd_limit(args) -> int:
     if len(values) != 5:
         raise ValueError(f"--regime needs N,S,T,t,x, got {args.regime!r}")
     regime = LimitRegime(*values)
+    rhos = [float(r) for r in args.rhos.split(",")] if args.rhos else []
+    for rho in rhos:
+        if not (math.isfinite(rho) and rho > 0):
+            raise ValueError(f"--rhos scales must be finite and positive, got {rho}")
     params = limit_params(regime)
     region = ellipse_classify(regime)
     report = {
@@ -305,8 +310,7 @@ def cmd_limit(args) -> int:
             except PoleOnContourError:
                 residuals[f"{dx}:{dt}"] = None
     report["duality_residuals"] = residuals
-    if args.rhos:
-        rhos = [float(r) for r in args.rhos.split(",")]
+    if rhos:
         offsets = _parse_offsets(args.offsets)
         table = convergence_probe(regime, offsets, rhos)
         report["convergence"] = [
@@ -328,14 +332,27 @@ def cmd_limit(args) -> int:
     return EXIT_OK
 
 
+def _json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
 def cmd_render(args) -> int:
     with open(args.trajectory) as handle:
         doc = json.load(handle)
-    model = ModelParams(doc["model"]["N"], doc["model"]["S"], doc["model"]["T"])
-    records = doc["trajectories"]
+    if not isinstance(doc, dict) or not isinstance(doc.get("model"), dict):
+        raise ValueError('the trajectory document needs a "model" object')
+    model = ModelParams(*(_json_int(doc["model"].get(k), f"model.{k}") for k in "NST"))
+    records = doc.get("trajectories")
+    if not isinstance(records, list):
+        raise ValueError(f'"trajectories" must be a list, got {type(records).__name__}')
     if not 0 <= args.index < len(records):
         raise ValueError(f"trajectory index {args.index} outside 0..{len(records) - 1}")
-    traj = _runs_to_trajectory(model, records[args.index]["paths"])
+    record = records[args.index]
+    if not isinstance(record, dict) or not isinstance(record.get("paths"), list):
+        raise ValueError(f'trajectory {args.index} needs a "paths" list')
+    traj = _runs_to_trajectory(model, record["paths"])
     _emit(render_svg(traj, args.style), args.out)
     return EXIT_OK
 

@@ -25,6 +25,9 @@ from .errors import DegenerateParameterError, ParameterRegimeError
 from .radicals import SignedSqrt
 
 
+_ZERO = Fraction(0)
+
+
 class Case(Enum):
     I = 1
     II = 2
@@ -196,9 +199,32 @@ def hahn_norm2(k: int, alpha: int, beta: int, M: int) -> Fraction:
     return result
 
 
+def _recurrence_coefficients(n: int, alpha: int, beta: int, M: int) -> tuple[int, int, int, int]:
+    """Integers (b, e, c, d) with d Q_{n+1}(x') = (b - e x') Q_n(x') - c Q_{n-1}(x').
+
+    This is the three-term recurrence
+    -x' Q_n = A_n Q_{n+1} - (A_n + C_n) Q_n + C_n Q_{n-1}
+    (Koekoek-Lesky-Swarttouw, Hypergeometric Orthogonal Polynomials, 9.5.3)
+    multiplied through by the denominators of A_n and C_n.  A zero A_n or a
+    zero denominator raises DegenerateParameterError.
+    """
+    ab = alpha + beta
+    a_num = (n + ab + 1) * (n + alpha + 1) * (M - n)
+    a_den = (2 * n + ab + 1) * (2 * n + ab + 2)
+    c_num = n * (n + ab + M + 1) * (n + beta)
+    c_den = (2 * n + ab) * (2 * n + ab + 1) if n else 1  # C_0 = 0
+    if a_num == 0 or a_den == 0 or c_den == 0:
+        raise DegenerateParameterError(
+            f"degenerate recurrence step n={n} for alpha={alpha}, beta={beta}, M={M}"
+        )
+    return a_num * c_den + c_num * a_den, a_den * c_den, c_num * a_den, a_num * c_den
+
+
 class _SliceBasis:
     """Cached per-slice data: weights, polynomial values, norms.
 
+    The values Q_0(x), Q_1(x), ... at one x form a column, extended on
+    demand with the three-term recurrence; ``hahn_q`` is its test oracle.
     Norms are taken w.r.t. the factorial-form weight, obtained from the
     closed form through the constant Pochhammer/factorial ratio lambda, read
     at the left end of the support.
@@ -210,19 +236,35 @@ class _SliceBasis:
         p = self.params
         self.support = range(p.support_lo, p.support_hi + 1)
         self.weights = {x: slice_weight(model, t, x) for x in self.support}
-        self._q_memo: dict[tuple[int, int], Fraction] = {}
+        self._columns: dict[int, list[Fraction]] = {}
         self._norm_memo: dict[int, Fraction] = {}
         self.lam = _pochhammer_weight(0, p.alpha, p.beta, p.M) / self.weights[p.shift]
 
+    def column(self, x: int, k: int) -> list[Fraction]:
+        """Q_0(x'), ..., Q_j(x') for some j >= k, at model coordinate x."""
+        p = self.params
+        if not 0 <= k <= p.M:
+            raise ValueError(f"need 0 <= k <= M, got k={k}, M={p.M}")
+        col = self._columns.get(x)
+        if col is None:
+            col = self._columns[x] = [Fraction(1)]
+        xp = x - p.shift
+        for n in range(len(col) - 1, k):
+            b, e, c, d = _recurrence_coefficients(n, p.alpha, p.beta, p.M)
+            cur = col[n]
+            prev = col[n - 1] if n else _ZERO
+            col.append(
+                Fraction(
+                    (b - e * xp) * cur.numerator * prev.denominator
+                    - c * prev.numerator * cur.denominator,
+                    d * cur.denominator * prev.denominator,
+                )
+            )
+        return col
+
     def q(self, k: int, x: int) -> Fraction:
         """Q_k at model coordinate x (shift applied), as a polynomial value."""
-        key = (k, x)
-        value = self._q_memo.get(key)
-        if value is None:
-            p = self.params
-            value = hahn_q(k, x - p.shift, p.alpha, p.beta, p.M)
-            self._q_memo[key] = value
-        return value
+        return self.column(x, k)[k]
 
     def norm2(self, k: int) -> Fraction:
         """Squared norm of Q_k w.r.t. the factorial-form weight."""

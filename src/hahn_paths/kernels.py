@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .combinatorics import ModelParams, det_bareiss
 from .errors import IncompatibleRadicalsError
 from .hahn import EXACT, NumericBackend, slice_basis
 from .process import coupling_coefficient_sq
-from .radicals import SignedSqrt, sqrt_fraction, sum_signed_sqrts
+from .radicals import SignedSqrt, sqrt_fraction
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,44 @@ def _gauge_factor_sq(model: ModelParams, t: int) -> Fraction:
     return slice_basis(model, t).norm2(0)
 
 
+@lru_cache(maxsize=2048)
+def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, tuple[Fraction, ...]]:
+    """What every kernel entry between times s and t shares: (lo, R, ratios).
+
+    Term i of K((x, s); (y, t)) is Q_i(x) Q_i(y) sqrt(w_x w_y R_i), with
+    R_i = 1 / (n_i^s n_i^t prod c_i^2) for i < N when s >= t, and
+    R_i = prod c_i^2 / (n_i^s n_i^t) for N <= i <= min(M_s, M_t) when s < t,
+    the product over the steps between the two times.  R = R_lo, and
+    ratios[i - lo] = +-sqrt(R_i / R) is rational, negative when s < t.
+    """
+    b_s = slice_basis(model, s)
+    b_t = slice_basis(model, t)
+    if s >= t:
+        indices, steps, sign = range(model.N), range(t, s), 1
+    else:
+        indices = range(model.N, min(b_s.params.M, b_t.params.M) + 1)
+        steps, sign = range(s, t), -1
+    radicands = []
+    for i in indices:
+        prod_c2 = Fraction(1)
+        for j in steps:
+            prod_c2 *= coupling_coefficient_sq(model, j, i)
+        rad = 1 / (b_s.norm2(i) * b_t.norm2(i))
+        radicands.append(rad / prod_c2 if s >= t else rad * prod_c2)
+    if not radicands:
+        return indices.start, Fraction(0), ()
+    ratios = []
+    for i, rad in zip(indices, radicands):
+        ratio = sqrt_fraction(rad / radicands[0])
+        if ratio is None:
+            raise IncompatibleRadicalsError(
+                f"kernel terms {indices.start} and {i} between times {s} and {t}"
+                " have incompatible radicands"
+            )
+        ratios.append(sign * ratio)
+    return indices.start, radicands[0], tuple(ratios)
+
+
 def extended_kernel(
     model: ModelParams, p: tuple[int, int], q: tuple[int, int]
 ) -> SignedSqrt:
@@ -79,30 +118,24 @@ def extended_kernel(
     b_t = slice_basis(model, t)
     if x not in b_s.support or y not in b_t.support:
         return SignedSqrt.zero()
+    lo, radicand, ratios = _pair_table(model, s, t)
+    if not ratios:
+        return SignedSqrt.zero()
+    hi = lo + len(ratios) - 1
+    coeff = 0
+    ref = None
+    for qx, qy, ratio in zip(b_s.column(x, hi)[lo:], b_t.column(y, hi)[lo:], ratios):
+        term = qx * qy
+        if term:
+            # Keep the radicand a term-by-term SignedSqrt sum ends with, that
+            # of the last term added to a zero partial sum: `kernel` prints it.
+            if not coeff:
+                ref = ratio
+            coeff += term * ratio
+    if not coeff:
+        return SignedSqrt.zero()
     w_pair = b_s.weights[x] * b_t.weights[y]
-    terms = []
-    if s >= t:
-        for i in range(model.N):
-            coeff = b_s.q(i, x) * b_t.q(i, y)
-            if coeff == 0:
-                continue
-            prod_c2 = Fraction(1)
-            for j in range(t, s):
-                prod_c2 *= coupling_coefficient_sq(model, j, i)
-            rad = w_pair / (b_s.norm2(i) * b_t.norm2(i) * prod_c2)
-            terms.append(SignedSqrt(coeff, rad))
-    else:
-        top = min(b_s.params.M, b_t.params.M)
-        for i in range(model.N, top + 1):
-            coeff = -b_s.q(i, x) * b_t.q(i, y)
-            if coeff == 0:
-                continue
-            prod_c2 = Fraction(1)
-            for j in range(s, t):
-                prod_c2 *= coupling_coefficient_sq(model, j, i)
-            rad = w_pair * prod_c2 / (b_s.norm2(i) * b_t.norm2(i))
-            terms.append(SignedSqrt(coeff, rad))
-    return sum_signed_sqrts(terms)
+    return SignedSqrt(coeff / abs(ref), w_pair * radicand * ref * ref)
 
 
 def _gauge(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from math import pi
 
@@ -17,6 +18,7 @@ from hahn_paths import (
     ellipse_classify,
     ellipse_form,
     ellipse_tangency_discriminants,
+    extended_kernel,
     extended_sine_kernel,
     limit_params,
     limit_tridiagonal,
@@ -33,6 +35,11 @@ from hahn_paths.bulk import (
 )
 
 CENTER = LimitRegime(1, 1, 2, 1, 1)
+PROBE_OFFSETS = [(dx, dt) for dx in range(-3, 4) for dt in range(-2, 3)]
+# SHA-256 of the exact sign and square of every kernel entry the probe of CENTER
+# evaluates at rho = 20, 40, 80 (N up to 80), computed before the kernel was
+# built from pair tables and recurrence columns.
+PROBE_DIGEST = "a014c29b5be971ec4a2af395e71bbad02ff382732d01cafa432f402e1611d17e"
 
 
 def test_limit_params_center():
@@ -296,3 +303,15 @@ def test_convergence_probe_frozen_point():
     table = convergence_probe(reg, [(0, 0)], [40])
     assert table.rows[0].cell((0, 0)).prelimit < 0.02
     assert table.params.density == 0.0
+
+
+def test_probe_kernel_entries_are_pinned():
+    table = convergence_probe(CENTER, PROBE_OFFSETS, [20, 40, 80])
+    digest = hashlib.sha256()
+    for row in table.rows:
+        for dx, dt in PROBE_OFFSETS:
+            p, q = (row.x_base + dx, row.t_base), (row.x_base, row.t_base + dt)
+            value = extended_kernel(row.model, p, q)
+            sq = value.square()
+            digest.update(f"{p};{q}:{value.sign}:{sq.numerator}/{sq.denominator}\n".encode())
+    assert digest.hexdigest() == PROBE_DIGEST

@@ -187,6 +187,17 @@ def test_package_errors_map_to_exit_codes(capsys, monkeypatch, error):
     assert err == "error: boom\n"
 
 
+@pytest.mark.parametrize("rho", ["inf", "-inf", "nan", "0", "-5"])
+def test_limit_nonfinite_or_nonpositive_scale_exit_2(capsys, tmp_path, rho):
+    out = tmp_path / "l.json"
+    code, _, err = run(
+        capsys, "limit", "--regime", "1,1,2,1,1", f"--rhos=20,{rho}", "--out", str(out),
+    )
+    assert code == 2
+    assert err.startswith("error: --rhos")
+    assert not out.exists()
+
+
 def test_limit_convergence_table(capsys):
     doc = run_json(
         capsys, "limit", "--regime", "1,1,2,1,1", "--rhos", "4,8",
@@ -244,6 +255,28 @@ def test_render_bad_trajectory_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, "render", "--trajectory", str(bad))
         assert code == 2, (paths, err)
         assert err.startswith("error: "), (paths, err)
+    model = {"N": 1, "S": 1, "T": 3}
+    paths = [{"paths": ["1U2F"]}]
+    docs = [
+        [model, paths],  # not an object
+        {"model": [1, 1, 3], "trajectories": paths},
+        {"model": {"N": "a", "S": 1, "T": 3}, "trajectories": paths},
+        {"model": {"N": 1, "S": 1.0, "T": 3}, "trajectories": paths},
+        {"model": {"N": True, "S": 1, "T": 3}, "trajectories": paths},
+        {"model": {"N": 1, "S": 1}, "trajectories": paths},
+        {"model": model, "trajectories": 5},
+        {"model": model, "trajectories": {"paths": ["1U2F"]}},
+        {"model": model, "trajectories": [5]},
+        {"model": model, "trajectories": [{"paths": "1U2F"}]},
+    ]
+    for doc in docs:
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "render", "--trajectory", str(bad))
+        assert code == 2, (doc, err)
+        assert err.startswith("error: "), (doc, err)
+    bad.write_text(json.dumps({"model": model, "trajectories": paths}))
+    code, out, err = run(capsys, "render", "--trajectory", str(bad))
+    assert code == 0, err
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from hahn_paths.hahn import (
     _case_params,
     _hahn_norm2_signed,
     _pochhammer_weight,
+    _recurrence_coefficients,
     slice_basis,
 )
 from hahn_paths.process import coupling_coefficient_sq
@@ -78,6 +79,10 @@ def test_slice_identities_sweep():
             p = slice_params(model, t)
             assert (p.shift, p.shift + p.M) == (max(0, t + S - T), min(t, S) + N - 1)
             dims.append(p.M)
+            # Every recurrence step a column takes divides by A_n != 0
+            # (_recurrence_coefficients raises on a zero A_n or denominator).
+            for n in range(p.M):
+                assert _recurrence_coefficients(n, p.alpha, p.beta, p.M)[3] != 0
         # K((x, s); (y, t)) multiplies c_i^j for j in [t, s) and i < N when
         # s >= t, and for j in [s, t) and N <= i <= min(M_s, M_t) when s < t.
         top = [N - 1] * T
@@ -121,6 +126,33 @@ def test_hahn_q_degenerate_parameters():
     # (alpha+1)_i hits zero with a nonzero numerator prefix
     with pytest.raises(DegenerateParameterError):
         hahn_q(2, 3, -2, -7, 4)
+
+
+def test_recurrence_columns_match_series():
+    # Every column value on the N <= 4, T <= 8 box, and a spread of columns
+    # of two large models, equals the terminating series.
+    cases = [(m, t, x) for m in sweep_models(4, 8) for t in range(m.T + 1)
+             for x in slice_basis(m, t).support]
+    for model in (ModelParams(20, 20, 40), ModelParams(40, 40, 80)):
+        for t in (0, model.T // 4, model.N, model.T - 3):
+            support = slice_basis(model, t).support
+            cases += [(model, t, x) for x in support[:: max(1, len(support) // 4)]]
+    for model, t, x in cases:
+        basis = slice_basis(model, t)
+        p = basis.params
+        column = basis.column(x, p.M)
+        assert len(column) == p.M + 1
+        for k, value in enumerate(column):
+            assert value == hahn_q(k, x - p.shift, p.alpha, p.beta, p.M), (model, t, x, k)
+
+
+def test_recurrence_degenerate_step_raises():
+    # A_1 = 0 through its factor n + alpha + 1 (alpha = -2): no division by zero.
+    with pytest.raises(DegenerateParameterError):
+        _recurrence_coefficients(1, -2, -7, 4)
+    basis = slice_basis(ModelParams(2, 1, 3), 1)
+    with pytest.raises(ValueError):
+        basis.q(basis.params.M + 1, basis.params.shift)
 
 
 def test_norm_examples():

@@ -1,9 +1,10 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from conftest import small_sweep
+from conftest import small_sweep, sweep_models
 from hahn_paths import (
     EXACT,
     FLOAT,
@@ -15,6 +16,7 @@ from hahn_paths import (
     correlation,
     extended_kernel,
     gauge_transform,
+    hahn_q,
     oracle_correlation,
     oracle_tables,
     static_kernel,
@@ -22,6 +24,20 @@ from hahn_paths import (
 )
 from hahn_paths.hahn import slice_basis
 from hahn_paths.kernels import gauged_extended_kernel
+from hahn_paths.process import coupling_coefficient_sq
+from hahn_paths.radicals import sum_signed_sqrts
+
+# SHA-256 of the exact correlations of CORRELATION_QUERIES on (20,20,40),
+# computed before the kernel was built from pair tables and recurrence columns.
+CORRELATION_DIGEST = "38515e34098f8439fa7f8a9b5d7ca2eec3228caf580ba392e62444f7b2c07028"
+CORRELATION_QUERIES = [
+    ((27, 39),), ((35, 22), (14, 1)), ((3, 15), (3, 10), (33, 23)),
+    ((24, 15), (17, 34), (23, 36), (6, 0)), ((23, 26),), ((29, 11), (14, 24)),
+    ((4, 4), (38, 39), (16, 28)), ((0, 8), (6, 0), (10, 13), (9, 10)), ((12, 20),),
+    ((35, 34), (26, 40)), ((30, 11), (24, 12), (1, 19)),
+    ((29, 23), (29, 10), (8, 9), (10, 4)), ((10, 20), (12, 20)),
+    ((5, 5), (6, 5), (7, 6)), ((20, 20), (21, 21), (22, 22), (20, 22)),
+]
 
 
 def all_points(model):
@@ -84,6 +100,65 @@ def test_extended_kernel_reduces_to_static():
         for x in slice_basis(m, t).support:
             for y in slice_basis(m, t).support:
                 assert extended_kernel(m, (x, t), (y, t)) == static_kernel(m, t, x, y)
+
+
+def per_term_kernel(model, p, q):
+    """K(p; q) summed term by term: a series value and a c^2 product per term."""
+    x, s = p
+    y, t = q
+    b_s, b_t = slice_basis(model, s), slice_basis(model, t)
+    if x not in b_s.support or y not in b_t.support:
+        return SignedSqrt.zero()
+    ps, pt = b_s.params, b_t.params
+    if s >= t:
+        indices, steps, sign = range(model.N), range(t, s), 1
+    else:
+        indices, steps, sign = range(model.N, min(ps.M, pt.M) + 1), range(s, t), -1
+    w_pair = b_s.weights[x] * b_t.weights[y]
+    terms = []
+    for i in indices:
+        coeff = sign * hahn_q(i, x - ps.shift, ps.alpha, ps.beta, ps.M) * hahn_q(
+            i, y - pt.shift, pt.alpha, pt.beta, pt.M
+        )
+        if coeff == 0:
+            continue
+        prod_c2 = Fraction(1)
+        for j in steps:
+            prod_c2 *= coupling_coefficient_sq(model, j, i)
+        norms = b_s.norm2(i) * b_t.norm2(i)
+        rad = w_pair / (norms * prod_c2) if s >= t else w_pair * prod_c2 / norms
+        terms.append(SignedSqrt(coeff, rad))
+    return sum_signed_sqrts(terms)
+
+
+def test_pair_table_entries_match_per_term_sum():
+    # Same coefficient and radicand, not only the same number: the `kernel`
+    # command prints both.
+    models = sweep_models(3, 5) + [ModelParams(4, 6, 8)]
+    branches = {True: 0, False: 0}
+    for model in models:
+        pts = all_points(model)
+        for p in pts:
+            for q in pts:
+                got = extended_kernel(model, p, q)
+                want = per_term_kernel(model, p, q)
+                assert (got.coeff, got.radicand) == (want.coeff, want.radicand), (model, p, q)
+                branches[p[1] >= q[1]] += not got.is_zero()
+    assert min(branches.values()) > 1000, branches
+    big = ModelParams(20, 20, 40)
+    for p, q in [((3, 2), (10, 10)), ((10, 10), (3, 2)), ((15, 20), (30, 33)),
+                 ((30, 33), (15, 20)), ((20, 20), (21, 20))]:
+        got, want = extended_kernel(big, p, q), per_term_kernel(big, p, q)
+        assert (got.coeff, got.radicand) == (want.coeff, want.radicand), (p, q)
+
+
+def test_correlations_on_a_large_model_are_pinned():
+    digest = hashlib.sha256()
+    model = ModelParams(20, 20, 40)
+    for query in CORRELATION_QUERIES:
+        value = correlation(model, list(query))
+        digest.update(f"{query}:{value.numerator}/{value.denominator}\n".encode())
+    assert digest.hexdigest() == CORRELATION_DIGEST
 
 
 def test_extended_kernel_examples():
