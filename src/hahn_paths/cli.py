@@ -27,14 +27,14 @@ from .bulk import (
 )
 from .combinatorics import (
     ModelParams,
-    PathFamily,
+    Trajectory,
     enumerate_path_families,
     oracle_correlation,
 )
 from .errors import HahnPathsError, PoleOnContourError
-from .hahn import EXACT, FLOAT, slice_basis
+from .hahn import slice_basis
 from .kernels import CorrelationQuery, KernelMatrix, static_kernel
-from .process import Trajectory, sample_trajectory
+from .process import sample_trajectory
 from .render import STYLES, render_svg
 
 SCHEMA_VERSION = 1
@@ -140,9 +140,7 @@ def _runs_to_trajectory(model: ModelParams, runs: list[str]) -> Trajectory:
                 raise ValueError(f"path code {text!r} has more than T={model.T} steps")
             seq.extend([1 if letter == "U" else 0] * int(count))
         moves.append(tuple(seq))
-    fam = PathFamily(model, tuple(moves))
-    fam.validate()
-    return Trajectory(model, tuple(fam.configuration(t) for t in range(model.T + 1)))
+    return Trajectory.from_moves(model, moves)
 
 
 def cmd_enumerate(args) -> int:
@@ -153,7 +151,7 @@ def cmd_enumerate(args) -> int:
     for t in range(model.T + 1):
         counts: dict[int, int] = {}
         for fam in families:
-            for x in fam.configuration(t).positions:
+            for x in fam.positions[t]:
                 counts[x] = counts.get(x, 0) + 1
         marginals[str(t)] = {
             str(x): _number(Fraction(c, len(families)), exact)
@@ -176,9 +174,14 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    if args.format == "csv":
+        # CSV holds only the static matrix: refuse before doing any work.
+        if args.static_t is None:
+            raise ValueError("csv output needs --static-t")
+        if args.query is not None:
+            raise ValueError("csv output holds only the static matrix; drop --query")
     model = _resolve_model(args)
     exact = args.mode == "exact"
-    backend = EXACT if exact else FLOAT
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "kernel",
@@ -202,8 +205,7 @@ def cmd_kernel(args) -> int:
             csv_lines.append(f"{x}," + ",".join(repr(float(v)) for v in row))
     query = _parse_query(args.query)
     if query:
-        kmatrix = KernelMatrix.build(model, CorrelationQuery(tuple(query)), backend)
-        det = kmatrix.determinant()
+        kmatrix = KernelMatrix.build(model, CorrelationQuery(tuple(query)))
         report["query"] = [{"x": x, "t": t} for x, t in query]
         report["kernel_matrix"] = [[float(v) for v in row] for row in kmatrix.entries]
         if exact:
@@ -211,9 +213,10 @@ def cmd_kernel(args) -> int:
                 [{"coeff": str(v.coeff), "radicand": str(v.radicand)} for v in row]
                 for row in kmatrix.entries
             ]
-        report["correlation"] = _number(det, exact)
-        if not exact:
+            report["correlation"] = _number(kmatrix.determinant(), exact)
+        else:
             rep = kmatrix.determinant_report()
+            report["correlation"] = rep.value
             report["conditioning"] = {
                 "min_pivot": rep.min_pivot,
                 "max_pivot": rep.max_pivot,
@@ -222,8 +225,6 @@ def cmd_kernel(args) -> int:
     elif args.query is not None:
         report["correlation"] = _number(Fraction(1), exact)
     if args.format == "csv":
-        if not csv_lines:
-            raise ValueError("csv output needs --static-t")
         _emit("\n".join(csv_lines) + "\n", args.out)
     else:
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
@@ -243,7 +244,7 @@ def cmd_sample(args) -> int:
         traj = sample_trajectory(model, seed=args.seed + k)
         records.append({"paths": _trajectory_to_runs(traj)})
         for t in range(model.T + 1):
-            for x in traj.configurations[t].positions:
+            for x in traj.positions[t]:
                 counts[t][x] = counts[t].get(x, 0) + 1
     traj_path = args.out + ".trajectories.json"
     traj_doc = {
@@ -273,6 +274,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_limit(args) -> int:
+    if args.dmax < 0:
+        raise ValueError(f"--dmax must be at least 0, got {args.dmax}")
     values = [float(v) for v in args.regime.split(",")]
     if len(values) != 5:
         raise ValueError(f"--regime needs N,S,T,t,x, got {args.regime!r}")

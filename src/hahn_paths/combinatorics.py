@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 
 from .errors import EnumerationCapExceeded
@@ -81,57 +82,60 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class Configuration:
-    """Positions of the N particles at a single time."""
-
-    t: int
-    positions: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
-            raise ValueError(f"positions must be strictly increasing: {self.positions}")
-
-
-@dataclass(frozen=True)
-class PathFamily:
-    """One realization of all N paths, as per-path move sequences (0=flat, 1=up)."""
+class Trajectory:
+    """One family of N non-intersecting paths: positions[t] holds the N heights at time t."""
 
     model: ModelParams
-    moves: tuple[tuple[int, ...], ...]
+    positions: tuple[tuple[int, ...], ...]
 
-    def height(self, i: int, t: int) -> int:
-        """Height of path i (0-based) after t steps."""
-        return i + sum(self.moves[i][:t])
-
-    def configuration(self, t: int) -> Configuration:
-        return Configuration(t, tuple(self.height(i, t) for i in range(self.model.N)))
-
-    def validate(self) -> None:
+    def __post_init__(self):
         model = self.model
-        if len(self.moves) != model.N:
-            raise ValueError("wrong number of paths")
-        for i, seq in enumerate(self.moves):
+        if len(self.positions) != model.T + 1:
+            raise ValueError(
+                f"trajectory has {len(self.positions)} times, expected t = 0..{model.T}"
+            )
+        for t, now in enumerate(self.positions):
+            if len(now) != model.N:
+                raise ValueError(f"{len(now)} positions at t={t}, expected N={model.N}")
+            if any(b <= a for a, b in zip(now, now[1:])):
+                raise ValueError(f"positions at t={t} must be strictly increasing: {now}")
+        start = tuple(range(model.N))
+        if self.positions[0] != start:
+            raise ValueError(f"trajectory must start at {start}")
+        for t in range(model.T):
+            steps = zip(self.positions[t], self.positions[t + 1])
+            if any(y - x not in (0, 1) for x, y in steps):
+                raise ValueError(f"illegal step between t={t} and t={t + 1}")
+        end = tuple(model.S + i for i in range(model.N))
+        if self.positions[-1] != end:
+            raise ValueError(f"trajectory must end at {end}")
+
+    @classmethod
+    def from_moves(cls, model: ModelParams, moves: Sequence[Sequence[int]]) -> Trajectory:
+        """The family whose path i (0-based) starts at height i and takes moves[i]."""
+        if len(moves) != model.N:
+            raise ValueError(f"{len(moves)} paths, expected N={model.N}")
+        for i, seq in enumerate(moves):
             if len(seq) != model.T:
-                raise ValueError(f"path {i} has {len(seq)} steps, expected {model.T}")
-            if any(step not in (0, 1) for step in seq):
-                raise ValueError(f"path {i} has a step outside {{0, 1}}")
-            if sum(seq) != model.S:
-                raise ValueError(f"path {i} makes {sum(seq)} rises, expected {model.S}")
-        for t in range(model.T + 1):
-            heights = [self.height(i, t) for i in range(model.N)]
-            if any(b <= a for a, b in zip(heights, heights[1:])):
-                raise ValueError(f"paths intersect at t={t}")
+                raise ValueError(f"path {i} has {len(seq)} steps, expected T={model.T}")
+        heights = [accumulate(seq, initial=i) for i, seq in enumerate(moves)]
+        return cls(model, tuple(zip(*heights)))
+
+    def moves(self, i: int) -> tuple[int, ...]:
+        """Per-step increments (0 = flat, 1 = up) of path i."""
+        return tuple(b[i] - a[i] for a, b in zip(self.positions, self.positions[1:]))
 
 
 def count_path_families(t1: int, a: list[int], t2: int, b: list[int]) -> int:
     """Number of non-intersecting families from heights a at t1 to b at t2.
 
-    Computed as the determinant of binomial step counts, exactly.
+    Computed as the determinant of binomial step counts, exactly; with zero
+    steps the matrix is the identity exactly when a == b.
     """
     if len(a) != len(b):
         raise ValueError(f"endpoint lists differ in length: {len(a)} vs {len(b)}")
-    if t2 <= t1:
-        raise ValueError(f"need t2 > t1, got t1={t1}, t2={t2}")
+    if t2 < t1:
+        raise ValueError(f"need t2 >= t1, got t1={t1}, t2={t2}")
     steps = t2 - t1
     matrix = [[binomial(steps, bi - aj) for aj in a] for bi in b]
     return det_bareiss(matrix)
@@ -146,8 +150,8 @@ def _resolve_cap(cap: int | None) -> int:
     return DEFAULT_ENUMERATION_CAP
 
 
-def enumerate_path_families(model: ModelParams, cap: int | None = None) -> list[PathFamily]:
-    """Every valid PathFamily, in lexicographic order over move sequences.
+def enumerate_path_families(model: ModelParams, cap: int | None = None) -> list[Trajectory]:
+    """Every path family, in lexicographic order over move sequences.
 
     The family's key is the time-major tuple of per-step move vectors; DFS
     over admissible move subsets visits keys in ascending order.  Raises
@@ -161,7 +165,7 @@ def enumerate_path_families(model: ModelParams, cap: int | None = None) -> list[
     from .hahn import slice_params  # not at the top: hahn imports ModelParams from here
 
     N, T = model.N, model.T
-    families: list[PathFamily] = []
+    families: list[Trajectory] = []
     move_vectors = list(product((0, 1), repeat=N))
     params = (slice_params(model, t) for t in range(T + 1))
     bounds = [(p.support_lo, p.support_hi) for p in params]
@@ -176,18 +180,18 @@ def enumerate_path_families(model: ModelParams, cap: int | None = None) -> list[
             prev = x
         return True
 
-    def dfs(t: int, positions: tuple[int, ...], history: list[tuple[int, ...]]) -> None:
+    def dfs(t: int, history: list[tuple[int, ...]]) -> None:
+        positions = history[-1]
         if t == T:
-            per_path = tuple(tuple(step[i] for step in history) for i in range(N))
-            families.append(PathFamily(model, per_path))
+            families.append(Trajectory(model, tuple(history)))
             return
         for mv in move_vectors:
             if admissible(positions, mv, t + 1):
-                history.append(mv)
-                dfs(t + 1, tuple(p + m for p, m in zip(positions, mv)), history)
+                history.append(tuple(p + m for p, m in zip(positions, mv)))
+                dfs(t + 1, history)
                 history.pop()
 
-    dfs(0, tuple(range(N)), [])
+    dfs(0, [tuple(range(N))])
     return families
 
 
@@ -207,19 +211,7 @@ def oracle_correlation(
     families = enumerate_path_families(model, cap=cap)
     if not query:
         return Fraction(1)
-    hits = 0
-    by_time: dict[int, list[int]] = {}
-    for x, t in query:
-        by_time.setdefault(t, []).append(x)
-    for fam in families:
-        ok = True
-        for t, xs in by_time.items():
-            positions = fam.configuration(t).positions
-            if any(x not in positions for x in xs):
-                ok = False
-                break
-        if ok:
-            hits += 1
+    hits = sum(all(x in fam.positions[t] for x, t in query) for fam in families)
     return Fraction(hits, len(families))
 
 
@@ -240,7 +232,7 @@ def oracle_tables(
         points = [
             (x, t)
             for t in range(model.T + 1)
-            for x in fam.configuration(t).positions
+            for x in fam.positions[t]
         ]
         singles.update(points)
         pairs.update(combinations(sorted(points), 2))

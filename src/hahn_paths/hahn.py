@@ -36,25 +36,6 @@ class Case(Enum):
 
 
 @dataclass(frozen=True)
-class NumericBackend:
-    """EXACT keeps every value rational; FLOAT rounds exact values to binary64."""
-
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown backend mode {self.mode!r}")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.mode == "exact"
-
-
-EXACT = NumericBackend("exact")
-FLOAT = NumericBackend("float")
-
-
-@dataclass(frozen=True)
 class SliceParams:
     """Hahn data of one time slice: case tag, (alpha, beta, M), shift, support."""
 

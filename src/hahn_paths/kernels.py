@@ -16,7 +16,7 @@ from math import lcm
 
 from .combinatorics import ModelParams, det_bareiss
 from .errors import IncompatibleRadicalsError
-from .hahn import EXACT, NumericBackend, slice_basis
+from .hahn import slice_basis
 from .process import coupling_coefficient_sq
 from .radicals import SignedSqrt, sqrt_fraction
 
@@ -222,34 +222,24 @@ def _det_float_report(matrix: list[list[float]]) -> DetReport:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Extended-kernel values on all ordered pairs of query points.
+    """Exact extended-kernel values on all ordered pairs of query points.
 
     The exact determinant gauges the stored entries into a rational matrix;
-    the gauge is diagonal, so it leaves every determinant unchanged.
+    the gauge is diagonal, so it leaves every determinant unchanged.  Float
+    results are rounded from the exact entries by ``determinant_report``.
     """
 
     model: ModelParams
     points: tuple[tuple[int, int], ...]
-    entries: tuple[tuple, ...]
-    backend: NumericBackend
+    entries: tuple[tuple[SignedSqrt, ...], ...]
 
     @classmethod
-    def build(
-        cls, model: ModelParams, query: CorrelationQuery, backend: NumericBackend = EXACT
-    ) -> KernelMatrix:
+    def build(cls, model: ModelParams, query: CorrelationQuery) -> KernelMatrix:
         pts = query.points
-        rows = []
-        for p in pts:
-            row = []
-            for q in pts:
-                value = extended_kernel(model, p, q)
-                row.append(value if backend.is_exact else float(value))
-            rows.append(tuple(row))
-        return cls(model, pts, tuple(rows), backend)
+        rows = tuple(tuple(extended_kernel(model, p, q) for q in pts) for p in pts)
+        return cls(model, pts, rows)
 
-    def determinant(self):
-        if not self.backend.is_exact:
-            return self.determinant_report().value
+    def determinant(self) -> Fraction:
         return _det_rational(
             [
                 [_gauge(self.model, p, q, value) for q, value in zip(self.points, row)]
@@ -263,37 +253,26 @@ class KernelMatrix:
 
 
 def correlation(
-    model: ModelParams,
-    query: CorrelationQuery | list[tuple[int, int]],
-    backend: NumericBackend = EXACT,
-):
-    """Probability that the process occupies every queried (x, t) point.
-
-    Exact backend returns a Fraction; float backend a float from the
-    pivoted elimination.
-    """
+    model: ModelParams, query: CorrelationQuery | list[tuple[int, int]]
+) -> Fraction:
+    """Exact probability that the process occupies every queried (x, t) point."""
     if not isinstance(query, CorrelationQuery):
         query = CorrelationQuery(tuple(query))
     for x, t in query.points:
         if not 0 <= t <= model.T:
             raise ValueError(f"query time {t} outside 0..{model.T}")
     if len(query) == 0:
-        return Fraction(1) if backend.is_exact else 1.0
-    return KernelMatrix.build(model, query, backend).determinant()
+        return Fraction(1)
+    return KernelMatrix.build(model, query).determinant()
 
 
 def gauge_transform(matrix: KernelMatrix, gauge) -> KernelMatrix:
     """Conjugate the kernel matrix by a pointwise gauge F: entry *= F(p)/F(q)."""
-    factors = [gauge(x, t) for x, t in matrix.points]
+    factors = [Fraction(gauge(x, t)) for x, t in matrix.points]
     if any(f == 0 for f in factors):
         raise ValueError("gauge function vanishes at a queried point")
-    rows = []
-    for fi, row in zip(factors, matrix.entries):
-        new_row = []
-        for fj, value in zip(factors, row):
-            if matrix.backend.is_exact:
-                new_row.append(value * Fraction(fi) / Fraction(fj))
-            else:
-                new_row.append(value * fi / fj)
-        rows.append(tuple(new_row))
-    return KernelMatrix(matrix.model, matrix.points, tuple(rows), matrix.backend)
+    rows = tuple(
+        tuple(value * fi / fj for fj, value in zip(factors, row))
+        for fi, row in zip(factors, matrix.entries)
+    )
+    return KernelMatrix(matrix.model, matrix.points, rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import Configuration, ModelParams, PathFamily, det_bareiss
+from .combinatorics import ModelParams, Trajectory, det_bareiss
 from .errors import SamplerSizeError, TransitionRowSumError
 from .hahn import pochhammer, slice_basis, slice_params
 from .radicals import SignedSqrt, sum_signed_sqrts
@@ -45,10 +45,6 @@ class CouplingCoefficients:
 
     t: int
     values: tuple[SignedSqrt, ...]
-
-    @property
-    def squares(self) -> tuple[Fraction, ...]:
-        return tuple(v.square() for v in self.values)
 
 
 def coupling_coefficients(model: ModelParams, t: int) -> CouplingCoefficients:
@@ -188,45 +184,6 @@ def transfer_matrix_series(model: ModelParams, t: int, x: int, y: int) -> Signed
     return sum_signed_sqrts(terms)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A full history of the configuration over t = 0..T."""
-
-    model: ModelParams
-    configurations: tuple[Configuration, ...]
-
-    def __post_init__(self):
-        model = self.model
-        if len(self.configurations) != model.T + 1:
-            raise ValueError("trajectory must cover t = 0..T")
-        first = self.configurations[0].positions
-        if first != tuple(range(model.N)):
-            raise ValueError(f"trajectory must start at {tuple(range(model.N))}")
-        for t, conf in enumerate(self.configurations):
-            if conf.t != t:
-                raise ValueError(f"configuration at index {t} has t={conf.t}")
-        for a, b in zip(self.configurations, self.configurations[1:]):
-            diffs = [y - x for x, y in zip(a.positions, b.positions)]
-            if any(d not in (0, 1) for d in diffs):
-                raise ValueError(f"illegal step between t={a.t} and t={b.t}")
-        last = self.configurations[-1].positions
-        expected = tuple(model.S + i for i in range(model.N))
-        if last != expected:
-            raise ValueError(f"trajectory must end at {expected}")
-
-    def moves(self, i: int) -> tuple[int, ...]:
-        """Per-step increments of path i."""
-        return tuple(
-            b.positions[i] - a.positions[i]
-            for a, b in zip(self.configurations, self.configurations[1:])
-        )
-
-    def as_path_family(self) -> PathFamily:
-        return PathFamily(
-            self.model, tuple(self.moves(i) for i in range(self.model.N))
-        )
-
-
 @lru_cache(maxsize=1024)
 def _transition_table(
     model: ModelParams, t: int, positions: tuple[int, ...]
@@ -287,9 +244,9 @@ def sample_trajectory(model: ModelParams, seed: int) -> Trajectory:
         )
     rng = random.Random(seed)
     positions = tuple(range(model.N))
-    configs = [Configuration(0, positions)]
+    history = [positions]
     for t in range(model.T):
         candidates, cum = _transition_table(model, t, positions)
         positions = candidates[bisect_right(cum, (rng.getrandbits(64) * cum[-1]) >> 64)]
-        configs.append(Configuration(t + 1, positions))
-    return Trajectory(model, tuple(configs))
+        history.append(positions)
+    return Trajectory(model, tuple(history))

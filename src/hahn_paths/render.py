@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .combinatorics import ModelParams
+from .combinatorics import ModelParams, Trajectory
 from .hahn import slice_params
-from .process import Trajectory
 
 EDGE = 20.0
 _SQ3_2 = math.sqrt(3.0) / 2.0
@@ -50,8 +49,8 @@ def trajectory_lozenges(traj: Trajectory) -> dict[str, list[list[tuple[float, fl
     model = traj.model
     quads: dict[str, list[list[tuple[float, float]]]] = {"up": [], "flat": [], "gap": []}
     for t in range(model.T):
-        now = traj.configurations[t].positions
-        nxt = traj.configurations[t + 1].positions
+        now = traj.positions[t]
+        nxt = traj.positions[t + 1]
         for x, y in zip(now, nxt):
             if y == x + 1:
                 quads["up"].append(
@@ -63,7 +62,7 @@ def trajectory_lozenges(traj: Trajectory) -> dict[str, list[list[tuple[float, fl
                 )
     for t in range(model.T + 1):
         column = slice_params(model, t)
-        occupied = set(traj.configurations[t].positions)
+        occupied = set(traj.positions[t])
         for y in range(column.support_lo, column.support_hi + 1):
             if y in occupied:
                 continue
@@ -149,15 +148,9 @@ def render_svg(traj: Trajectory, style: str = "rhombi") -> str:
     outline = [project(t, x) for t, x in hexagon_vertices(model)]
     canvas.polyline(outline + outline[:1], "outline", "#bbbbbb")
     for i in range(model.N):
-        points = [
-            project(t, conf.positions[i]) for t, conf in enumerate(traj.configurations)
-        ]
+        points = [project(t, now[i]) for t, now in enumerate(traj.positions)]
         canvas.polyline(points, f"path path-{i}", "#1f3864")
         for t, step in enumerate(traj.moves(i)):
             cls = "up" if step == 1 else "flat"
-            seg = [
-                project(t, traj.configurations[t].positions[i]),
-                project(t + 1, traj.configurations[t + 1].positions[i]),
-            ]
-            canvas.polyline(seg, f"step {cls}", _FILL[cls])
+            canvas.polyline(points[t : t + 2], f"step {cls}", _FILL[cls])
     return canvas.to_svg()

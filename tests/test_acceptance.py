@@ -196,7 +196,7 @@ def test_criterion_4_monte_carlo():
     for k in range(MC_SAMPLES):
         traj = sample_trajectory(model, seed=MC_SEED + k)
         for t in counts:
-            for x in traj.configurations[t].positions:
+            for x in traj.positions[t]:
                 counts[t][x] = counts[t].get(x, 0) + 1
         digest.update(
             ",".join("".join(map(str, traj.moves(i))) for i in range(model.N)).encode()

@@ -101,6 +101,36 @@ def test_kernel_csv_matrix(capsys, tmp_path):
     assert len(lines) == 1 + len(lines[0].split(",")) - 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--static-t", "1", "--query", "0:1"),  # CSV holds only the static matrix
+        ("--query", "0:1"),  # CSV needs --static-t
+        (),
+    ],
+    ids=" ".join,
+)
+def test_kernel_csv_rejected_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("kernel work started")
+
+    monkeypatch.setattr(cli.KernelMatrix, "build", fail)
+    monkeypatch.setattr(cli, "static_kernel", fail)
+    out = tmp_path / "k.csv"
+    code, _, err = run(
+        capsys, "kernel", "--model", "2,1,3", "--format", "csv", "--out", str(out), *argv
+    )
+    assert code == 2
+    assert err.startswith("error: csv output")
+    assert not out.exists()
+
+
+def test_enumerate_zero_time_model(capsys):
+    doc = run_json(capsys, "enumerate", "--model", "2,0,0")
+    assert doc["family_count"] == 1
+    assert doc["slice_marginals"]["0"]["1"]["rational"] == "1/1"
+
+
 def test_sample_deterministic_and_densities(capsys, tmp_path):
     out = tmp_path / "s.json"
     args = ("sample", "--model", "1,1,2", "--samples", "400", "--seed", "7",
@@ -156,6 +186,13 @@ def test_limit_report(capsys):
     assert doc["region"] == "inside"
     assert doc["sine_kernel"]["0"] == pytest.approx(2 / 3)
     assert max(abs(v) for v in doc["duality_residuals"].values()) < 1e-10
+
+
+def test_limit_negative_dmax_exit_2(capsys):
+    code, out, err = run(capsys, "limit", "--regime", "1,1,2,1,1", "--dmax", "-2")
+    assert code == 2
+    assert err.startswith("error: --dmax")
+    assert out == ""
 
 
 def test_limit_frozen_report(capsys):

@@ -6,6 +6,7 @@ from conftest import small_sweep
 from hahn_paths import (
     EnumerationCapExceeded,
     ModelParams,
+    Trajectory,
     count_path_families,
     enumerate_path_families,
     oracle_correlation,
@@ -38,7 +39,20 @@ def test_count_errors():
     with pytest.raises(ValueError):
         count_path_families(0, [0, 1], 2, [1])
     with pytest.raises(ValueError):
-        count_path_families(2, [0], 2, [0])
+        count_path_families(3, [0], 2, [0])
+
+
+def test_count_zero_steps_is_identity_determinant():
+    assert count_path_families(2, [0, 1], 2, [0, 1]) == 1
+    assert count_path_families(2, [0, 1], 2, [0, 2]) == 0
+
+
+def test_zero_time_model_has_one_family():
+    model = ModelParams(2, 0, 0)
+    assert model.family_count() == 1
+    (fam,) = enumerate_path_families(model)
+    assert fam.positions == ((0, 1),)
+    assert fam.moves(0) == fam.moves(1) == ()
 
 
 def test_model_validation():
@@ -57,7 +71,7 @@ def test_enumerate_examples():
 
 def test_enumerate_order_is_lexicographic():
     fams = enumerate_path_families(ModelParams(1, 1, 2))
-    assert [f.moves for f in fams] == [((0, 1),), ((1, 0),)]
+    assert [f.moves(0) for f in fams] == [(0, 1), (1, 0)]
 
 
 def test_enumerate_cap():
@@ -76,7 +90,7 @@ def test_enumeration_matches_determinant_and_validates(model):
     fams = enumerate_path_families(model)
     assert len(fams) == model.family_count()
     for fam in fams:
-        fam.validate()
+        assert Trajectory(model, fam.positions) == fam
     assert len(set(fams)) == len(fams)
 
 

@@ -5,7 +5,6 @@ from hahn_paths import (
     Case,
     DegenerateParameterError,
     ModelParams,
-    NumericBackend,
     ParameterRegimeError,
     SignedSqrt,
     contiguous_relation_residuals,
@@ -26,13 +25,6 @@ from hahn_paths.hahn import (
     slice_basis,
 )
 from hahn_paths.process import coupling_coefficient_sq
-
-
-def test_backend_validation():
-    assert NumericBackend("exact").is_exact
-    assert not NumericBackend("float").is_exact
-    with pytest.raises(ValueError):
-        NumericBackend("fuzzy")
 
 
 def test_slice_params_examples():

@@ -6,8 +6,6 @@ import pytest
 
 from conftest import small_sweep, sweep_models
 from hahn_paths import (
-    EXACT,
-    FLOAT,
     CorrelationQuery,
     KernelMatrix,
     ModelParams,
@@ -173,6 +171,14 @@ def test_correlation_trivial_cases():
     assert correlation(m, [(1, 0)]) == 1
 
 
+def test_zero_time_model_correlations_match_oracle():
+    model = ModelParams(2, 0, 0)
+    pts = [(x, 0) for x in range(-1, 3)]
+    queries = [[]] + [[p] for p in pts] + [list(pq) for pq in combinations(pts, 2)]
+    for query in queries:
+        assert correlation(model, query) == oracle_correlation(model, query), query
+
+
 @pytest.mark.parametrize(
     "model",
     [ModelParams(2, 1, 3), ModelParams(2, 3, 4), ModelParams(1, 2, 3), ModelParams(3, 2, 4)],
@@ -245,7 +251,7 @@ def test_three_point_correlations_match_oracle():
             fam_pts = {
                 (x, t)
                 for t in range(model.T + 1)
-                for x in fam.configuration(t).positions
+                for x in fam.positions[t]
             }
             if all(p in fam_pts for p in query):
                 hits += 1
@@ -273,7 +279,7 @@ def test_gauge_transform_invariance():
         (ModelParams(3, 2, 5), ((1, 1), (2, 3), (3, 4))),
     ]
     for model, points in cases:
-        matrix = KernelMatrix.build(model, CorrelationQuery(points), EXACT)
+        matrix = KernelMatrix.build(model, CorrelationQuery(points))
         base = matrix.determinant()
         assert base == oracle_correlation(model, list(points))
         for gauge in (lambda x, t: 1, lambda x, t: 2**t, lambda x, t: (-1) ** x):
@@ -295,10 +301,9 @@ def test_gauged_entries_are_rational():
 def test_float_backend_close_to_exact():
     model = ModelParams(2, 2, 4)
     query = CorrelationQuery(((1, 1), (2, 3)))
-    exact_det = correlation(model, query, EXACT)
-    float_det = correlation(model, query, FLOAT)
-    assert float_det == pytest.approx(float(exact_det), abs=1e-12)
-    report = KernelMatrix.build(model, query, FLOAT).determinant_report()
+    exact_det = correlation(model, query)
+    report = KernelMatrix.build(model, query).determinant_report()
+    assert report.value == pytest.approx(float(exact_det), abs=1e-12)
     assert report.size == 2
     assert report.min_pivot > 0
     assert report.condition_hint >= 1

@@ -10,6 +10,7 @@ from hahn_paths import (
     ModelParams,
     SamplerSizeError,
     SignedSqrt,
+    Trajectory,
     TransitionRowSumError,
     coupling_coefficients,
     enumerate_path_families,
@@ -74,7 +75,7 @@ def test_slice_distribution_matches_oracle(model):
     fams = enumerate_path_families(model)
     total = len(fams)
     for t in range(model.T + 1):
-        marginal = Counter(f.configuration(t).positions for f in fams)
+        marginal = Counter(f.positions[t] for f in fams)
         for z in configs_at(model, t):
             assert slice_distribution(model, t, z) == Fraction(marginal[z], total)
 
@@ -128,10 +129,10 @@ def test_transition_matches_oracle_conditional(model):
     fams = enumerate_path_families(model)
     for t in range(model.T):
         joint = Counter(
-            (f.configuration(t).positions, f.configuration(t + 1).positions)
+            (f.positions[t], f.positions[t + 1])
             for f in fams
         )
-        marginal = Counter(f.configuration(t).positions for f in fams)
+        marginal = Counter(f.positions[t] for f in fams)
         for (x, y), count in joint.items():
             expected = Fraction(count, marginal[x])
             assert transition_probability(model, t, x, y) == expected
@@ -207,19 +208,17 @@ def test_trajectory_law_is_exactly_uniform(model):
             p *= transition_probability(
                 model,
                 t,
-                fam.configuration(t).positions,
-                fam.configuration(t + 1).positions,
+                fam.positions[t],
+                fam.positions[t + 1],
             )
         assert p == Fraction(1, len(fams))
 
 
 def test_trajectory_forced_cases():
     flat = sample_trajectory(ModelParams(2, 0, 4), seed=123)
-    assert all(c.positions == (0, 1) for c in flat.configurations)
+    assert all(now == (0, 1) for now in flat.positions)
     up = sample_trajectory(ModelParams(2, 4, 4), seed=123)
-    assert [c.positions for c in up.configurations] == [
-        (t, t + 1) for t in range(5)
-    ]
+    assert list(up.positions) == [(t, t + 1) for t in range(5)]
 
 
 def test_trajectory_determinism_and_validity():
@@ -227,7 +226,7 @@ def test_trajectory_determinism_and_validity():
     t1 = sample_trajectory(m, seed=999)
     t2 = sample_trajectory(m, seed=999)
     assert t1 == t2
-    t1.as_path_family().validate()
+    assert Trajectory.from_moves(m, [t1.moves(i) for i in range(m.N)]) == t1
     assert any(sample_trajectory(m, seed=s) != t1 for s in range(1000, 1020))
 
 
@@ -247,7 +246,7 @@ def test_sampler_distribution_short_run():
     m = ModelParams(1, 1, 2)
     n = 4000
     hits = sum(
-        sample_trajectory(m, seed=s).configurations[1].positions == (0,)
+        sample_trajectory(m, seed=s).positions[1] == (0,)
         for s in range(n)
     )
     p = Fraction(1, 2)
@@ -262,7 +261,52 @@ def test_sampler_size_limit():
 
 def test_sampler_agrees_with_enumeration_support():
     m = ModelParams(2, 1, 3)
-    families = {f.moves for f in enumerate_path_families(m)}
+    families = set(enumerate_path_families(m))
     for seed in range(50):
-        fam = sample_trajectory(m, seed=seed).as_path_family()
-        assert fam.moves in families
+        assert sample_trajectory(m, seed=seed) in families
+
+
+def test_trajectory_rejects_a_missing_particle():
+    # zip over a short tuple must not hide the missing path at t=1.
+    with pytest.raises(ValueError, match="positions at t=1"):
+        Trajectory(ModelParams(2, 1, 2), ((0, 1), (1,), (1, 2)))
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        ((0, 1), (1, 2)),  # too few times
+        ((0, 1), (1, 1), (1, 2)),  # paths touch
+        ((1, 0), (1, 2), (1, 2)),  # not increasing
+        ((1, 2), (1, 2), (1, 2)),  # wrong start
+        ((0, 1), (0, 1), (0, 1)),  # wrong end
+        ((0, 1), (0, 3), (1, 2)),  # step of two
+        ((0, 1), (1, 2), (1, 2), (1, 2)),  # too many times
+    ],
+)
+def test_trajectory_validation(positions):
+    with pytest.raises(ValueError):
+        Trajectory(ModelParams(2, 1, 2), positions)
+
+
+@pytest.mark.parametrize(
+    "moves",
+    [
+        [(1, 0)],  # a path is missing
+        [(1, 0), (0, 1), (0, 1)],  # one path too many
+        [(1, 0), (1,)],  # a short path
+        [(1, 0), (0, 1, 0)],  # a long path
+        [(2, 0), (0, 1)],  # a step outside {0, 1}
+        [(1, 1), (0, 1)],  # too many rises
+    ],
+)
+def test_from_moves_validation(moves):
+    with pytest.raises(ValueError):
+        Trajectory.from_moves(ModelParams(2, 1, 2), moves)
+
+
+def test_from_moves_round_trip():
+    m = ModelParams(2, 1, 2)
+    traj = Trajectory.from_moves(m, [(0, 1), (1, 0)])
+    assert traj.positions == ((0, 1), (0, 2), (1, 2))
+    assert [traj.moves(i) for i in range(m.N)] == [(0, 1), (1, 0)]

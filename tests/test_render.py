@@ -1,7 +1,6 @@
 import pytest
 
 from hahn_paths import ModelParams, Trajectory, render_svg, sample_trajectory, trajectory_lozenges
-from hahn_paths.combinatorics import Configuration
 from hahn_paths.render import EDGE, hexagon_vertices
 
 
@@ -22,8 +21,7 @@ def _point_in_convex(pt, poly, eps=1e-9):
 
 def up_then_flat_trajectory():
     model = ModelParams(1, 1, 2)
-    configs = (Configuration(0, (0,)), Configuration(1, (1,)), Configuration(2, (1,)))
-    return Trajectory(model, configs)
+    return Trajectory(model, ((0,), (1,), (1,)))
 
 
 def test_single_path_lozenge_counts():
