@@ -10,22 +10,15 @@ to e^{i phi}" through +1 resp. -1).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, pi, sin
+from math import comb, cos, pi, sin
 
 from .combinatorics import ModelParams
-from .errors import BoundaryRegimeError, PoleOnContourError, QuadratureError
+from .errors import BoundaryRegimeError, PoleOnContourError
 from .hahn import slice_basis
 from .kernels import extended_kernel
-
-QUAD_TOL = 1e-12
-QUAD_PANEL_CAP = 2**20
-IMAG_REL_TOL = 1e-10
-IMAG_ABS_FLOOR = 1e-12
-
 
 class Side(Enum):
     RIGHT = "right"
@@ -135,79 +128,6 @@ def sine_kernel_static(phi: float, d: int) -> float:
     return sin(phi * d) / (pi * d)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, oscillations: int = 0) -> complex:
-    """Adaptive Simpson quadrature of a complex-valued smooth integrand.
-
-    ``oscillations`` pre-splits the interval so that periodic integrands are
-    sampled well inside each period; the initial coarse samples of a plain
-    adaptive pass can alias an oscillatory integrand to a constant.
-    """
-
-    def simpson(x0, f0, x2, f2, x1, f1):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    n_init = 4 * oscillations + 5
-    edges = [a + (b - a) * k / n_init for k in range(n_init + 1)]
-    panels = 0
-    total = 0.0 + 0.0j
-    stack = []
-    for lo, hi in zip(edges, edges[1:]):
-        mid = 0.5 * (lo + hi)
-        stack.append((lo, f(lo), hi, f(hi), mid, f(mid), tol / n_init))
-    while stack:
-        x0, f0, x2, f2, x1, f1, budget = stack.pop()
-        panels += 1
-        if panels > QUAD_PANEL_CAP:
-            raise QuadratureError(f"quadrature panel budget {QUAD_PANEL_CAP} exhausted")
-        whole = simpson(x0, f0, x2, f2, x1, f1)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(x0, f0, x1, f1, lm, flm)
-        right = simpson(x1, f1, x2, f2, rm, frm)
-        err = left + right - whole
-        if abs(err) <= 15.0 * budget:
-            total += left + right + err / 15.0
-        else:
-            half = 0.5 * budget
-            stack.append((x0, f0, x1, f1, lm, flm, half))
-            stack.append((x1, f1, x2, f2, rm, frm, half))
-    return total
-
-
-def _arc_integral(integrand, angle: float, waves: int, side: Side) -> complex:
-    """(1/2 pi) times the integral of integrand(theta) from theta = -angle to angle.
-
-    The right arc runs counterclockwise through theta = 0, the left arc
-    clockwise through theta = pi; an arc of zero length gives 0.
-    """
-    if side is Side.RIGHT:
-        if angle == 0.0:
-            return 0.0 + 0.0j
-        return _adaptive_simpson(integrand, -angle, angle, QUAD_TOL, waves) / (2.0 * pi)
-    if angle == pi:
-        return 0.0 + 0.0j
-    return -_adaptive_simpson(integrand, angle, 2.0 * pi - angle, QUAD_TOL, waves) / (2.0 * pi)
-
-
-def _unit_arc_integral(c: float, phi: float, dx: int, dt: int, side: Side) -> complex:
-    """(1/2 pi i) times the arc integral of (1+cw)^dt w^(dx-1) dw on the unit circle."""
-
-    def integrand(theta: float) -> complex:
-        w = cmath.exp(1j * theta)
-        return (1.0 + c * w) ** dt * cmath.exp(1j * dx * theta)
-
-    return _arc_integral(integrand, phi, abs(dx) + abs(dt), side)
-
-
-def _check_real(value: complex) -> float:
-    limit = IMAG_REL_TOL * abs(value) + IMAG_ABS_FLOOR
-    if not abs(value.imag) < limit:
-        raise QuadratureError(f"imaginary residue {value.imag} exceeds {limit}")
-    return value.real
-
-
 def arc_monomial(phi: float, m: int, side: Side) -> float:
     """Closed-form arc integral of w^(m-1): the building block of the kernel."""
     if side is Side.RIGHT:
@@ -215,14 +135,53 @@ def arc_monomial(phi: float, m: int, side: Side) -> float:
     return phi / pi - 1.0 if m == 0 else sin(m * phi) / (pi * m)
 
 
+def arc_integral(c: float, phi: float, dx: int, dt: int, side: Side) -> float:
+    """(1/2 pi i) times the arc integral of (1+cw)^dt w^(dx-1) dw, for any real c != 0.
+
+    dt >= 0: a binomial sum of arc monomials.  dt = -n < 0: partial fractions
+    in w and u = 1+cw (in u alone when dx >= 1), integrated to powers plus
+    log w and log u at e^{+-i phi}.  Along the arc arg w changes by 2 phi
+    (right) or 2 phi - 2 pi (left), and arg u by 2 Arg(1 + c e^{i phi}), less
+    2 pi where the left arc winds u round 0 (c > 1), plus 2 pi where the right
+    arc does (c < -1).  A pole on the arc (|c| = 1) is the caller's to exclude.
+    For dx >= 2 the u-expansion cancels terms of size |c|^(1-dx), so a small
+    |c| costs digits.
+    """
+    if dt >= 0:
+        return sum(comb(dt, k) * c**k * arc_monomial(phi, dx + k, side) for k in range(dt + 1))
+    if phi == (0.0 if side is Side.RIGHT else pi):
+        return 0.0  # an arc of zero length
+    n = -dt
+    u_end = complex(1.0 + c * cos(phi), c * sin(phi))
+    arg_u = 2.0 * math.atan2(u_end.imag, u_end.real)
+    if side is Side.LEFT and c > 1.0:
+        arg_u -= 2.0 * pi
+    elif side is Side.RIGHT and c < -1.0:
+        arg_u += 2.0 * pi
+
+    def u_power(m: int) -> float:
+        """(1/2 pi i) times u^m / m between the arc's ends; the log of u for m = 0."""
+        return arg_u / (2.0 * pi) if m == 0 else (u_end**m).imag / (pi * m)
+
+    if dx >= 1:  # w^(dx-1) dw = c^-dx (u-1)^(dx-1) du
+        total = sum(
+            comb(dx - 1, j) * (-1) ** (dx - 1 - j) * u_power(j - n + 1) for j in range(dx)
+        )
+        return total / c**dx
+    # w^-a u^-n = sum_k A_k w^-k + sum_l B_l u^-l with a = 1 - dx, and u^-l dw = u^-l du / c
+    a = 1 - dx
+    total = sum(
+        comb(n + a - k - 1, a - k) * (-c) ** (a - k) * arc_monomial(phi, 1 - k, side)
+        for k in range(1, a + 1)
+    )
+    poles = sum(comb(a + n - l - 1, n - l) * u_power(1 - l) for l in range(1, n + 1))
+    return total + (-1) ** a * c ** (a - 1) * poles
+
+
 def extended_sine_kernel(
     params: LimitKernelParams, dx: int, dt: int, side: Side | None = None
 ) -> float:
-    """Limiting space-time kernel at lattice offsets dx = x-y, dt = t-s.
-
-    For dt >= 0 the kernel is the binomial closed form; for dt < 0 it is the
-    adaptive quadrature, checked to be real.
-    """
+    """Limiting space-time kernel at lattice offsets dx = x-y, dt = t-s, in closed form."""
     c, phi = params.c, params.phi
     if side is None:
         side = Side.RIGHT if dt <= 0 else Side.LEFT
@@ -230,9 +189,7 @@ def extended_sine_kernel(
         raise PoleOnContourError(
             f"integrand pole at w=-1 lies on the {side.value} arc (c=1, dt={dt})"
         )
-    if dt < 0:
-        return _check_real(_unit_arc_integral(c, phi, dx, dt, side))
-    return sum(comb(dt, k) * c**k * arc_monomial(phi, dx + k, side) for k in range(dt + 1))
+    return arc_integral(c, phi, dx, dt, side)
 
 
 # -- frozen-region geometry -------------------------------------------------
@@ -335,21 +292,6 @@ def amplitude_inversion(c: float, dx: int, dt: int) -> tuple[float, int, float]:
     return (1.0 / c, -dx - dt, c**dt)
 
 
-def _hole_kernel_raw(c: float, psi: float, dx: int, dt: int) -> complex:
-    """Hole-side kernel: arc integral of (1-w)^dt w^(dx-1) on the radius-c circle.
-
-    Arc from c e^{-i psi} to c e^{i psi}: through +c (counterclockwise) when
-    dt >= 0, through -c (clockwise) when dt < 0.
-    """
-
-    def integrand(theta: float) -> complex:
-        w = c * cmath.exp(1j * theta)
-        return (1.0 - w) ** dt * c**dx * cmath.exp(1j * dx * theta)
-
-    side = Side.RIGHT if dt >= 0 else Side.LEFT
-    return _arc_integral(integrand, psi, abs(dx) + abs(dt), side)
-
-
 def particle_hole_duality_residual(params: LimitKernelParams, dx: int, dt: int) -> float:
     """Residual of the particle-hole identity K = delta - K_hole-transformed.
 
@@ -369,7 +311,11 @@ def particle_hole_duality_residual(params: LimitKernelParams, dx: int, dt: int) 
     psi = pi - phi
     if c == 1.0 and dt < 0 and psi == 0.0:
         raise PoleOnContourError("c = 1 with psi = 0 puts the hole-side pole on its arc")
-    raw = _check_real(_hole_kernel_raw(c, psi, dx, dt))
+    # The hole-side kernel, the arc integral of (1-w)^dt w^(dx-1) on the radius-c
+    # circle (through +c when dt >= 0, -c when dt < 0), is c^dx times the
+    # unit-circle integral at amplitude -c, by w = c v.
+    side = Side.RIGHT if dt >= 0 else Side.LEFT
+    raw = c**dx * arc_integral(-c, psi, dx, dt, side)
     transformed = (-1) ** dx * c ** (-dx) * raw
     delta = 1.0 if (dx == 0 and dt == 0) else 0.0
     return ours - (delta - transformed)

@@ -28,10 +28,11 @@ from .bulk import (
 from .combinatorics import (
     ModelParams,
     Trajectory,
+    check_query,
     enumerate_path_families,
-    oracle_correlation,
+    share_through,
 )
-from .errors import HahnPathsError, PoleOnContourError
+from .errors import HahnPathsError, PoleOnContourError, ResourceLimitError
 from .hahn import slice_basis
 from .kernels import CorrelationQuery, KernelMatrix, static_kernel
 from .process import sample_trajectory
@@ -41,6 +42,12 @@ SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_INPUT = 2
+
+# Cost caps of `limit`: the sine-kernel table has 2 dmax + 1 entries, and one
+# convergence-probe row takes about 30 s at a largest model side rho max(N~, T~)
+# of 2200 (regime 1,1,2,1,1 at rho = 1100; 2-vCPU VM, CPython 3.11).
+LIMIT_MAX_DMAX = 10_000
+LIMIT_MAX_SIDE = 2200
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -146,6 +153,8 @@ def _runs_to_trajectory(model: ModelParams, runs: list[str]) -> Trajectory:
 def cmd_enumerate(args) -> int:
     model = _resolve_model(args)
     exact = args.mode == "exact"
+    query = _parse_query(args.query)
+    check_query(model, query)
     families = enumerate_path_families(model)
     marginals = {}
     for t in range(model.T + 1):
@@ -165,10 +174,9 @@ def cmd_enumerate(args) -> int:
         "family_count": len(families),
         "slice_marginals": marginals,
     }
-    query = _parse_query(args.query)
     if query:
         report["query"] = [{"x": x, "t": t} for x, t in query]
-        report["oracle_correlation"] = _number(oracle_correlation(model, query), exact)
+        report["oracle_correlation"] = _number(share_through(families, query), exact)
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
@@ -284,6 +292,11 @@ def cmd_limit(args) -> int:
     for rho in rhos:
         if not (math.isfinite(rho) and rho > 0):
             raise ValueError(f"--rhos scales must be finite and positive, got {rho}")
+    if args.dmax > LIMIT_MAX_DMAX:
+        raise ResourceLimitError(f"--dmax {args.dmax} exceeds the cap {LIMIT_MAX_DMAX}")
+    side = max(rhos, default=0.0) * max(regime.Ntilde, regime.Ttilde)
+    if side > LIMIT_MAX_SIDE:
+        raise ResourceLimitError(f"--rhos model side {side:g} exceeds the cap {LIMIT_MAX_SIDE}")
     params = limit_params(regime)
     region = ellipse_classify(regime)
     report = {

@@ -195,6 +195,23 @@ def enumerate_path_families(model: ModelParams, cap: int | None = None) -> list[
     return families
 
 
+def check_query(model: ModelParams, query: list[tuple[int, int]]) -> None:
+    """Raise ValueError unless the (x, t) points are distinct with t in 0..T."""
+    if len(set(query)) != len(query):
+        raise ValueError(f"query points must be distinct: {query}")
+    for x, t in query:
+        if not 0 <= t <= model.T:
+            raise ValueError(f"query time {t} outside 0..{model.T}")
+
+
+def share_through(families: list[Trajectory], query: list[tuple[int, int]]) -> Fraction:
+    """Exact share of the families that pass through all (x, t) points."""
+    if not query:
+        return Fraction(1)
+    hits = sum(all(x in fam.positions[t] for x, t in query) for fam in families)
+    return Fraction(hits, len(families))
+
+
 def oracle_correlation(
     model: ModelParams, query: list[tuple[int, int]], cap: int | None = None
 ) -> Fraction:
@@ -203,16 +220,8 @@ def oracle_correlation(
     Brute force over the full enumeration; the ground truth for every
     kernel-based computation on small instances.
     """
-    if len(set(query)) != len(query):
-        raise ValueError(f"query points must be distinct: {query}")
-    for x, t in query:
-        if not 0 <= t <= model.T:
-            raise ValueError(f"query time {t} outside 0..{model.T}")
-    families = enumerate_path_families(model, cap=cap)
-    if not query:
-        return Fraction(1)
-    hits = sum(all(x in fam.positions[t] for x, t in query) for fam in families)
-    return Fraction(hits, len(families))
+    check_query(model, query)
+    return share_through(enumerate_path_families(model, cap=cap), query)
 
 
 def oracle_tables(

@@ -13,10 +13,14 @@ class EnumerationCapExceeded(HahnPathsError):
     exit_code = 2
 
 
-class SamplerSizeError(HahnPathsError):
-    """The exact sampler is limited to N <= 20 paths."""
+class ResourceLimitError(HahnPathsError):
+    """The input's cost is above a fixed cap, so it is refused before any work."""
 
     exit_code = 3
+
+
+class SamplerSizeError(ResourceLimitError):
+    """The exact sampler is limited to N <= 20 paths."""
 
 
 class TransitionRowSumError(HahnPathsError):
@@ -41,10 +45,6 @@ class BoundaryRegimeError(HahnPathsError):
 
 class PoleOnContourError(HahnPathsError):
     """The contour integrand has a pole on the integration arc (c = 1 with negative power)."""
-
-
-class QuadratureError(HahnPathsError):
-    """An arc quadrature ran out of panels or left an imaginary residue too large."""
 
 
 class IncompatibleRadicalsError(HahnPathsError):

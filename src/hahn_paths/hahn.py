@@ -160,6 +160,14 @@ def _hahn_norm2_signed(k: int, alpha: int, beta: int, M: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _norm_ratio(k: int, alpha: int, beta: int, M: int) -> tuple[int, int]:
+    """Numerator and denominator of n_k / n_(k-1) for the closed-form norms."""
+    ab = alpha + beta
+    num = -(k + ab + M + 1) * (beta + k) * k * (2 * k + ab - 1)
+    den = (k + ab) * (2 * k + ab + 1) * (alpha + k) * (k - 1 - M)
+    return num, den
+
+
 def hahn_norm2(k: int, alpha: int, beta: int, M: int) -> Fraction:
     """Squared norm of Q_k w.r.t. the positive (sign-normalized) weight.
 
@@ -248,12 +256,27 @@ class _SliceBasis:
         return self.column(x, k)[k]
 
     def norm2(self, k: int) -> Fraction:
-        """Squared norm of Q_k w.r.t. the factorial-form weight."""
-        value = self._norm_memo.get(k)
+        """Squared norm of Q_k w.r.t. the factorial-form weight.
+
+        Chained by the ratio n_k / n_(k-1) from a memoized neighbour; otherwise,
+        or across a zero factor, from the closed form (which raises if degenerate).
+        """
+        memo = self._norm_memo
+        value = memo.get(k)
+        if value is not None:
+            return value
+        p = self.params
+        if k - 1 in memo:
+            num, den = _norm_ratio(k, p.alpha, p.beta, p.M)
+            if den:
+                value = memo[k - 1] * Fraction(num, den)
+        elif k + 1 in memo:
+            num, den = _norm_ratio(k + 1, p.alpha, p.beta, p.M)
+            if num:
+                value = memo[k + 1] * Fraction(den, num)
         if value is None:
-            p = self.params
             value = _hahn_norm2_signed(k, p.alpha, p.beta, p.M) / self.lam
-            self._norm_memo[k] = value
+        memo[k] = value
         return value
 
     def f(self, n: int, x: int) -> SignedSqrt:

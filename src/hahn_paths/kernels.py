@@ -16,8 +16,7 @@ from math import lcm
 
 from .combinatorics import ModelParams, det_bareiss
 from .errors import IncompatibleRadicalsError
-from .hahn import slice_basis
-from .process import coupling_coefficient_sq
+from .hahn import pochhammer, slice_basis
 from .radicals import SignedSqrt, sqrt_fraction
 
 
@@ -80,15 +79,16 @@ def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, tupl
     b_s = slice_basis(model, s)
     b_t = slice_basis(model, t)
     if s >= t:
-        indices, steps, sign = range(model.N), range(t, s), 1
+        indices, sign = range(model.N), 1
     else:
-        indices = range(model.N, min(b_s.params.M, b_t.params.M) + 1)
-        steps, sign = range(s, t), -1
+        indices, sign = range(model.N, min(b_s.params.M, b_t.params.M) + 1), -1
+    # prod_{j=a}^{b-1} c_i(j)^2 = (a+N-i)_L (T+N-b-i)_L / ((a+N)_L (T+N-b)_L), L = b-a;
+    # every factor is positive: i < N, or i <= M_a <= a+N-1 and i <= M_b <= T-b+N-1.
+    N, T, a, b = model.N, model.T, min(s, t), max(s, t)
+    den = pochhammer(a + N, b - a) * pochhammer(T + N - b, b - a)
     radicands = []
     for i in indices:
-        prod_c2 = Fraction(1)
-        for j in steps:
-            prod_c2 *= coupling_coefficient_sq(model, j, i)
+        prod_c2 = Fraction(pochhammer(a + N - i, b - a) * pochhammer(T + N - b - i, b - a), den)
         rad = 1 / (b_s.norm2(i) * b_t.norm2(i))
         radicands.append(rad / prod_c2 if s >= t else rad * prod_c2)
     if not radicands:

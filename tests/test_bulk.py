@@ -4,13 +4,13 @@ from math import pi
 
 import pytest
 
+import oracles
 from hahn_paths import (
     BoundaryRegimeError,
     LimitKernelParams,
     LimitRegime,
     ModelParams,
     PoleOnContourError,
-    QuadratureError,
     Region,
     Side,
     amplitude_inversion,
@@ -25,13 +25,14 @@ from hahn_paths import (
     particle_hole_duality_residual,
     sine_kernel_static,
 )
-from hahn_paths.bulk import (
+from hahn_paths.bulk import arc_integral, arc_monomial, arccos_argument
+from oracles import (
     IMAG_ABS_FLOOR,
     IMAG_REL_TOL,
+    QuadratureError,
     _check_real,
+    _hole_kernel_raw,
     _unit_arc_integral,
-    arc_monomial,
-    arccos_argument,
 )
 
 CENTER = LimitRegime(1, 1, 2, 1, 1)
@@ -168,6 +169,54 @@ def test_check_real_rejects_imaginary_residue():
     assert _check_real(2.0 + 1e-18j) == 2.0
     with pytest.raises(QuadratureError):
         _check_real(1 + 1j)
+
+
+def test_oracle_quadrature_panel_budget(monkeypatch):
+    # The oracle gives up with its own error once it has used its panel budget.
+    monkeypatch.setattr(oracles, "QUAD_PANEL_CAP", 1)
+    with pytest.raises(QuadratureError, match="quadrature panel budget 1 exhausted"):
+        _unit_arc_integral(1.0, 2 * pi / 3, 1, -2, Side.RIGHT)
+
+
+ARC_AMPLITUDES = [sign * c for c in (0.3, 0.7, 0.9, 1.1, 1.6, 3.0) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("c", ARC_AMPLITUDES)
+def test_closed_form_equals_quadrature_negative_dt(c):
+    # 2,592 cases over the 12 amplitudes: both sides of both unit-circle
+    # poles, both arcs, and both sides of the u = 1 + cw winding.
+    for phi in (0.3, 1.0, 2.0, 2.9):
+        for side in (Side.RIGHT, Side.LEFT):
+            for dx in range(-4, 5):
+                for dt in (-1, -2, -3):
+                    closed = arc_integral(c, phi, dx, dt, side)
+                    quad = _check_real(_unit_arc_integral(c, phi, dx, dt, side))
+                    assert abs(closed - quad) < 1e-12, (c, phi, side, dx, dt)
+
+
+def test_closed_form_zero_and_full_arcs():
+    # An arc of zero length integrates to 0; the full circle gives the residues.
+    for c in (0.5, -0.5, 2.0, -2.0):
+        for dx in range(-2, 3):
+            assert arc_integral(c, 0.0, dx, -2, Side.RIGHT) == 0.0
+            assert arc_integral(c, pi, dx, -2, Side.LEFT) == 0.0
+            full = arc_integral(c, pi, dx, -2, Side.RIGHT)
+            quad = _check_real(_unit_arc_integral(c, pi, dx, -2, Side.RIGHT))
+            assert abs(full - quad) < 1e-12, (c, dx)
+            backwards = arc_integral(c, 0.0, dx, -2, Side.LEFT)
+            assert abs(backwards + full) < 1e-12, (c, dx)
+
+
+@pytest.mark.parametrize("c", [0.3, 0.7, 0.9, 1.0])
+def test_hole_kernel_closed_form_equals_quadrature(c):
+    # w = c v turns the hole-side integral into c^dx times the arc integral at -c.
+    for psi in (0.3, 1.0, 2.0, 2.9):
+        for dx in range(-4, 5):
+            for dt in (-3, -2, -1, 0, 1, 2, 3):
+                side = Side.RIGHT if dt >= 0 else Side.LEFT
+                closed = c**dx * arc_integral(-c, psi, dx, dt, side)
+                quad = _check_real(_hole_kernel_raw(c, psi, dx, dt))
+                assert abs(closed - quad) < 1e-12, (c, psi, dx, dt)
 
 
 def test_negative_dt_quadrature():

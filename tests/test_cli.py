@@ -1,9 +1,17 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 import hahn_paths
-from hahn_paths import EnumerationCapExceeded, HahnPathsError, SamplerSizeError, bulk, cli
+from hahn_paths import (
+    EnumerationCapExceeded,
+    HahnPathsError,
+    ResourceLimitError,
+    SamplerSizeError,
+    bulk,
+    cli,
+)
 from hahn_paths.cli import main
 
 PACKAGE_ERRORS = [
@@ -11,7 +19,7 @@ PACKAGE_ERRORS = [
     for obj in (getattr(hahn_paths, name) for name in hahn_paths.__all__)
     if isinstance(obj, type) and issubclass(obj, HahnPathsError)
 ]
-EXIT_CODES = {EnumerationCapExceeded: 2, SamplerSizeError: 3}
+EXIT_CODES = {EnumerationCapExceeded: 2, ResourceLimitError: 3, SamplerSizeError: 3}
 
 
 def run(capsys, *argv):
@@ -40,6 +48,36 @@ def test_enumerate_query_exact_fields(capsys):
     corr = doc["oracle_correlation"]
     assert corr["decimal"] == 0.5
     assert corr["rational"] == "1/2"
+
+
+def counting_enumeration(monkeypatch) -> list:
+    calls = []
+    original = cli.enumerate_path_families
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_path_families", counted)
+    return calls
+
+
+def test_enumerate_query_enumerates_once(capsys, monkeypatch):
+    calls = counting_enumeration(monkeypatch)
+    doc = run_json(capsys, "enumerate", "--model", "3,2,4", "--query", "1:2,3:3")
+    assert len(calls) == 1
+    assert doc["family_count"] == 50
+    assert doc["oracle_correlation"]["rational"] == "1/2"
+
+
+@pytest.mark.parametrize("query", ["1:99", "0:-1", "1:2,1:2", "1:x"])
+def test_enumerate_bad_query_exit_2_before_enumerating(capsys, monkeypatch, query):
+    calls = counting_enumeration(monkeypatch)
+    code, out, err = run(capsys, "enumerate", "--model", "3,2,4", "--query", query)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+    assert calls == []
 
 
 def test_hexagon_mapping(capsys):
@@ -206,11 +244,42 @@ def test_limit_boundary_exit_4(capsys):
     assert code == 4
 
 
-def test_limit_quadrature_budget_exit_4(capsys, monkeypatch):
-    monkeypatch.setattr(bulk, "QUAD_PANEL_CAP", 1)
-    code, _, err = run(capsys, "limit", "--regime", "1,1,2,1,1")
-    assert code == 4
-    assert err.startswith("error: quadrature panel budget")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--dmax", "100000000"),
+        ("--rhos", "1e6"),
+        ("--rhos", "20,40,1101"),  # the side rho * T~ = 2202 is above 2200
+        ("--regime", "10,10,20,10,10", "--rhos", "221"),
+    ],
+    ids=" ".join,
+)
+def test_limit_cost_caps_exit_3_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("limit work started")
+
+    monkeypatch.setattr(cli, "convergence_probe", fail)
+    monkeypatch.setattr(bulk, "slice_basis", fail)
+    monkeypatch.setattr(cli, "slice_basis", fail)
+    monkeypatch.setattr(cli, "sine_kernel_static", fail)
+    out = tmp_path / "l.json"
+    code, _, err = run(capsys, "limit", "--regime", "1,1,2,1,1", *argv, "--out", str(out))
+    assert code == 3
+    assert "cap" in err
+    assert not out.exists()
+
+
+def test_limit_cost_caps_admit_their_bound(capsys, monkeypatch):
+    calls = []
+
+    def probe(regime, offsets, rhos):
+        calls.append(rhos)
+        return SimpleNamespace(rows=())
+
+    monkeypatch.setattr(cli, "convergence_probe", probe)
+    doc = run_json(capsys, "limit", "--regime", "1,1,2,1,1", "--rhos", "1100", "--dmax", "10000")
+    assert calls == [[1100.0]]
+    assert len(doc["sine_kernel"]) == 20001
 
 
 @pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda e: e.__name__)

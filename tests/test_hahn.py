@@ -17,6 +17,7 @@ from hahn_paths import (
     slice_weight,
 )
 from hahn_paths.hahn import (
+    _SliceBasis,
     _admissible_cases,
     _case_params,
     _hahn_norm2_signed,
@@ -145,6 +146,26 @@ def test_recurrence_degenerate_step_raises():
     basis = slice_basis(ModelParams(2, 1, 3), 1)
     with pytest.raises(ValueError):
         basis.q(basis.params.M + 1, basis.params.shift)
+
+
+def test_norm_chain_equals_closed_form():
+    # Norms chained by the ratio n_k / n_(k-1), requested in increasing,
+    # decreasing and middle-out order, equal the closed form on every slice
+    # of N <= 8, S <= T <= 16.
+    for model in sweep_models(8, 16):
+        for t in range(model.T + 1):
+            p = slice_params(model, t)
+            mid = min(model.N, p.M)
+            orders = (
+                range(p.M + 1),
+                range(p.M, -1, -1),
+                [*range(mid, p.M + 1), *range(mid - 1, -1, -1)],
+            )
+            for order in orders:
+                basis = _SliceBasis(model, t)
+                for k in order:
+                    closed = _hahn_norm2_signed(k, p.alpha, p.beta, p.M) / basis.lam
+                    assert basis.norm2(k) == closed, (model, t, k)
 
 
 def test_norm_examples():

@@ -21,7 +21,7 @@ from hahn_paths import (
     transfer_matrix,
 )
 from hahn_paths.hahn import slice_basis
-from hahn_paths.kernels import gauged_extended_kernel
+from hahn_paths.kernels import _pair_table, gauged_extended_kernel
 from hahn_paths.process import coupling_coefficient_sq
 from hahn_paths.radicals import sum_signed_sqrts
 
@@ -148,6 +148,33 @@ def test_pair_table_entries_match_per_term_sum():
                  ((30, 33), (15, 20)), ((20, 20), (21, 20))]:
         got, want = extended_kernel(big, p, q), per_term_kernel(big, p, q)
         assert (got.coeff, got.radicand) == (want.coeff, want.radicand), (p, q)
+
+
+@pytest.mark.parametrize(
+    "model", [ModelParams(3, 2, 5), ModelParams(4, 6, 8), ModelParams(20, 20, 40)], ids=str
+)
+def test_pair_table_products_equal_per_step_products(model):
+    # The table telescopes prod_j c_i(j)^2 into one ratio of Pochhammer
+    # products; every (pair, index) radicand R_i = R ratio_i^2 must equal the
+    # one built from the per-step (clamped) coupling coefficients.
+    for s in range(model.T + 1):
+        for t in range(model.T + 1):
+            b_s, b_t = slice_basis(model, s), slice_basis(model, t)
+            if s >= t:
+                indices, steps = range(model.N), range(t, s)
+            else:
+                indices = range(model.N, min(b_s.params.M, b_t.params.M) + 1)
+                steps = range(s, t)
+            lo, radicand, ratios = _pair_table(model, s, t)
+            assert (lo, len(ratios)) == (indices.start, len(indices)), (s, t)
+            for i, ratio in zip(indices, ratios):
+                prod_c2 = Fraction(1)
+                for j in steps:
+                    prod_c2 *= coupling_coefficient_sq(model, j, i)
+                rad = 1 / (b_s.norm2(i) * b_t.norm2(i))
+                want = rad / prod_c2 if s >= t else rad * prod_c2
+                assert radicand * ratio * ratio == want, (s, t, i)
+                assert (ratio > 0) == (s >= t), (s, t, i)
 
 
 def test_correlations_on_a_large_model_are_pinned():

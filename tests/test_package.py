@@ -26,3 +26,71 @@ def test_public_names_resolve_once():
     assert len(set(names)) == len(names)
     missing = [name for name in names if not hasattr(hahn_paths, name)]
     assert missing == []
+
+
+def _cache_decorator_faults(tree: ast.AST) -> list[tuple[int, str]]:
+    """Every lru_cache use that lacks an explicit integer maxsize, and every functools.cache."""
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            size = [kw.value for kw in node.keywords if kw.arg == "maxsize"] or node.args[:1]
+            if (
+                len(size) == 1
+                and isinstance(size[0], ast.Constant)
+                and type(size[0].value) is int
+            ):
+                bounded.add(id(node.func))
+    faults = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            faults += [(node.lineno, "cache") for alias in node.names if alias.name == "cache"]
+        name = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else None
+        )
+        if name == "lru_cache" and id(node) not in bounded:
+            faults.append((node.lineno, "lru_cache without an integer maxsize"))
+        if name == "cache" and isinstance(node, ast.Attribute):
+            faults.append((node.lineno, "functools.cache"))
+    return faults
+
+
+def test_every_cache_has_an_explicit_integer_bound():
+    # An unbounded cache grows for the life of the process.
+    found = [
+        f"{path.relative_to(SRC)}:{line}: {what}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, what in _cache_decorator_faults(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_cache_check_flags_unbounded_caches():
+    source = """
+import functools
+from functools import cache, lru_cache
+
+@lru_cache
+def a(): pass
+
+@lru_cache()
+def b(): pass
+
+@lru_cache(maxsize=None)
+def c(): pass
+
+@functools.cache
+def d(): pass
+
+@functools.lru_cache(maxsize=True)
+def e(): pass
+
+@lru_cache(maxsize=64)
+def ok(): pass
+
+@functools.lru_cache(128)
+def ok2(): pass
+"""
+    faults = _cache_decorator_faults(ast.parse(source))
+    assert sorted(line for line, _ in faults) == [3, 5, 8, 11, 14, 17]
