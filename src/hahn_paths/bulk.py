@@ -16,7 +16,7 @@ from enum import Enum
 from math import comb, cos, pi, sin
 
 from .combinatorics import ModelParams
-from .errors import BoundaryRegimeError, PoleOnContourError
+from .errors import BoundaryRegimeError, PoleOnContourError, PrecisionLossError
 from .hahn import slice_basis
 from .kernels import extended_kernel
 
@@ -135,47 +135,165 @@ def arc_monomial(phi: float, m: int, side: Side) -> float:
     return phi / pi - 1.0 if m == 0 else sin(m * phi) / (pi * m)
 
 
+# An arc sum is refused when its error bound, 2^-52 times the sum of its term
+# sizes plus any series remainder, exceeds this fraction of max(1, |result|).
+ARC_ERROR_BOUND = 1e-12
+# Terms a series may take before it gives up on its remainder.
+ARC_SERIES_TERMS = 100_000
+_ULP = 2.0**-52
+
+
+def _summed(terms) -> tuple[float, float]:
+    """Sum of coefficient * value over (coefficient, value, size) triples, and its
+    rounding bound; size >= 1 bounds |value| and the scale of its rounding error."""
+    total = size = 0.0
+    for coef, value, value_size in terms:
+        total += coef * value
+        size += abs(coef) * value_size
+    return total, _ULP * size
+
+
+def _finite_terms(c: float, phi: float, dx: int, n: int, side: Side):
+    """Exact partial fractions of w^(dx-1) u^-n, u = 1+cw, integrated over the arc, for |c| <= 1.
+
+    There u stays in the right half plane, so arg u changes by 2 Arg(u) along
+    the arc.  dx <= 0: poles in w and u, coefficients polynomial in |dx|.
+    dx >= 1: the polynomial part at infinity plus the poles in u, coefficients
+    of size |c|^(1-dx).
+    """
+    u_end = complex(1.0 + c * cos(phi), c * sin(phi))
+    arg_u = 2.0 * math.atan2(u_end.imag, u_end.real)
+    drift = (1.0 + abs(c)) / abs(u_end)  # relative rounding of u_end, in ulps
+
+    def u_power(m: int, coef: float):
+        """coef times (1/2 pi i) u^m / m between the arc's ends; the log of u for m = 0."""
+        if m == 0:
+            return coef, arg_u / (2.0 * pi), max(1.0, drift)
+        size = abs(u_end) ** m * (1.0 + abs(m) * drift) / (pi * abs(m))
+        return coef, (u_end**m).imag / (pi * m), max(1.0, size)
+
+    if dx <= 0:  # w^-a u^-n = sum_k A_k w^-k + sum_l B_l u^-l with a = 1 - dx; u^-l dw = u^-l du / c
+        a = 1 - dx
+        for k in range(1, a + 1):
+            yield comb(n + a - k - 1, a - k) * (-c) ** (a - k), arc_monomial(phi, 1 - k, side), 1.0
+        scale = (-1) ** a * c ** (a - 1)
+        for l in range(1, n + 1):
+            yield u_power(1 - l, scale * comb(a + n - l - 1, n - l))
+        return
+    # w^(dx-1) u^-n = sum_(k < dx-n) C(n+k-1, k) (-1)^k c^(-n-k) w^(dx-1-n-k) + sum_l B_l u^-l
+    for k in range(dx - n):
+        yield (-1) ** k * comb(n + k - 1, k) * c ** (-n - k), arc_monomial(phi, dx - n - k, side), 1.0
+    for l in range(1, n + 1):
+        yield u_power(1 - l, (-1) ** (dx - 1 - n + l) * comb(dx - 1, n - l) / c**dx)
+
+
+def _endpoint_series(c: float, phi: float, m: int, n: int, side: Side):
+    """Integration by parts toward the arc's ends, for m >= 1 and any real c.
+
+    With J(m, n) the arc integral of w^(m-1) u^-n and B(m, n) = Im(w^m u^-n)/pi
+    at w = e^{i phi}, J(m, n) = B(m, n)/m + (n c/m) J(m+1, n+1).  After K
+    steps the remaining J is at most the arc's share of the circle over
+    min|u|^(n+K).  Returns (value, error bound), or None once that bound
+    stops shrinking above 1e-18.
+    """
+    lo, hi = (cos(phi), 1.0) if side is Side.RIGHT else (-1.0, cos(phi))
+    u_min = math.sqrt(max(0.0, 1.0 + c * c + 2.0 * c * (lo if c > 0 else hi)))
+    if u_min == 0.0:
+        return None
+    w_end = complex(cos(phi), sin(phi))
+    u_end = 1.0 + c * w_end
+    drift = (1.0 + abs(c)) / abs(u_end) + 1.0  # relative rounding per power of step, in ulps
+    remainder = (phi / pi if side is Side.RIGHT else 1.0 - phi / pi) / u_min**n
+    term = w_end**m / u_end**n  # the ratios so far times w^p u^-q at the arc's end
+    step = w_end / u_end
+    total = size = 0.0
+    for j in range(ARC_SERIES_TERMS):
+        p, q = m + j, n + j
+        total += term.imag / (pi * p)
+        size += abs(term) * (1.0 + q * drift / p) / pi
+        ratio = q * c / p
+        term *= ratio * step
+        remainder *= abs(ratio) / u_min
+        if remainder < 1e-18:
+            return total, _ULP * size + remainder
+        if abs(ratio) >= u_min and (q < p or abs(c) >= u_min):
+            return None  # the factor (n+j)|c| / ((m+j) min|u|) stays >= 1
+    return None
+
+
+def _w_series(c: float, phi: float, dx: int, n: int, side: Side):
+    """u^-n = sum_k C(n+k-1, k) (-cw)^k for |c| < 1: terms sum in size to (1-|c|)^-n.
+
+    Returns (value, error bound), or None if the tail is not below 1e-18
+    within ARC_SERIES_TERMS terms.
+    """
+    r = abs(c)
+    coef = 1.0
+    total = size = 0.0
+    for k in range(ARC_SERIES_TERMS):
+        total += coef * arc_monomial(phi, dx + k, side)
+        size += abs(coef)
+        ratio = r * (n + k) / (k + 1)
+        coef *= -c * (n + k) / (k + 1)
+        if ratio < 1.0 and abs(coef) / (1.0 - ratio) < 1e-18:
+            return total, _ULP * size
+    return None
+
+
+def _arc_evaluations(c: float, phi: float, dx: int, dt: int, side: Side):
+    """(value, error bound) from each form that applies, cheapest first; |c| <= 1 if dt < 0."""
+    if dt >= 0:
+        yield _summed(
+            (comb(dt, k) * c**k, arc_monomial(phi, dx + k, side), 1.0) for k in range(dt + 1)
+        )
+        return
+    n = -dt
+    r = abs(c)
+    log_limit = math.log(ARC_ERROR_BOUND / _ULP)
+    if dx >= 1:
+        finite_log = math.log(comb(dx - 1 + n, n)) + (1 - dx) * math.log(r)
+    else:
+        finite_log = math.log(comb(n - dx, n))
+    if finite_log < log_limit:
+        yield _summed(_finite_terms(c, phi, dx, n, side))
+    if dx >= 1:
+        found = _endpoint_series(c, phi, dx, n, side)
+    else:  # the inversion c -> 1/c maps dx <= 0 to n - dx >= 1
+        c_inv, m, scale = amplitude_inversion(c, dx, dt)
+        found = _endpoint_series(c_inv, phi, m, n, side)
+        if found is not None:
+            found = (scale * found[0], abs(scale) * found[1])
+    if found is not None:
+        yield found
+    if r < 1.0 and -n * math.log1p(-r) < log_limit:
+        found = _w_series(c, phi, dx, n, side)
+        if found is not None:
+            yield found
+
+
 def arc_integral(c: float, phi: float, dx: int, dt: int, side: Side) -> float:
     """(1/2 pi i) times the arc integral of (1+cw)^dt w^(dx-1) dw, for any real c != 0.
 
-    dt >= 0: a binomial sum of arc monomials.  dt = -n < 0: partial fractions
-    in w and u = 1+cw (in u alone when dx >= 1), integrated to powers plus
-    log w and log u at e^{+-i phi}.  Along the arc arg w changes by 2 phi
-    (right) or 2 phi - 2 pi (left), and arg u by 2 Arg(1 + c e^{i phi}), less
-    2 pi where the left arc winds u round 0 (c > 1), plus 2 pi where the right
-    arc does (c < -1).  A pole on the arc (|c| = 1) is the caller's to exclude.
-    For dx >= 2 the u-expansion cancels terms of size |c|^(1-dx), so a small
-    |c| costs digits.
+    dt >= 0: a binomial sum of arc monomials.  dt < 0: |c| > 1 is first
+    reduced by the amplitude inversion c -> 1/c; then the exact partial
+    fractions, or where they would cancel too many digits (|c|^(1-dx) large,
+    or |c| near 1 with large |dx|), the endpoint series or the w-series.
+    The first whose error bound is within ARC_ERROR_BOUND is returned; if
+    none is, PrecisionLossError names the case.  A pole on the arc (|c| = 1)
+    is the caller's to exclude.
     """
-    if dt >= 0:
-        return sum(comb(dt, k) * c**k * arc_monomial(phi, dx + k, side) for k in range(dt + 1))
-    if phi == (0.0 if side is Side.RIGHT else pi):
+    if dt < 0 and abs(c) > 1.0:
+        c_inv, dx_inv, scale = amplitude_inversion(c, dx, dt)
+        return scale * arc_integral(c_inv, phi, dx_inv, dt, side)
+    if dt < 0 and phi == (0.0 if side is Side.RIGHT else pi):
         return 0.0  # an arc of zero length
-    n = -dt
-    u_end = complex(1.0 + c * cos(phi), c * sin(phi))
-    arg_u = 2.0 * math.atan2(u_end.imag, u_end.real)
-    if side is Side.LEFT and c > 1.0:
-        arg_u -= 2.0 * pi
-    elif side is Side.RIGHT and c < -1.0:
-        arg_u += 2.0 * pi
-
-    def u_power(m: int) -> float:
-        """(1/2 pi i) times u^m / m between the arc's ends; the log of u for m = 0."""
-        return arg_u / (2.0 * pi) if m == 0 else (u_end**m).imag / (pi * m)
-
-    if dx >= 1:  # w^(dx-1) dw = c^-dx (u-1)^(dx-1) du
-        total = sum(
-            comb(dx - 1, j) * (-1) ** (dx - 1 - j) * u_power(j - n + 1) for j in range(dx)
-        )
-        return total / c**dx
-    # w^-a u^-n = sum_k A_k w^-k + sum_l B_l u^-l with a = 1 - dx, and u^-l dw = u^-l du / c
-    a = 1 - dx
-    total = sum(
-        comb(n + a - k - 1, a - k) * (-c) ** (a - k) * arc_monomial(phi, 1 - k, side)
-        for k in range(1, a + 1)
+    for total, error in _arc_evaluations(c, phi, dx, dt, side):
+        if error <= ARC_ERROR_BOUND * max(1.0, abs(total)):
+            return total
+    raise PrecisionLossError(
+        f"no closed form for the arc sum at c={c}, phi={phi}, dx={dx}, dt={dt} "
+        f"({side.value} arc) stays within the error bound {ARC_ERROR_BOUND:g}"
     )
-    poles = sum(comb(a + n - l - 1, n - l) * u_power(1 - l) for l in range(1, n + 1))
-    return total + (-1) ** a * c ** (a - 1) * poles
 
 
 def extended_sine_kernel(

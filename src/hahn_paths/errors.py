@@ -47,5 +47,9 @@ class PoleOnContourError(HahnPathsError):
     """The contour integrand has a pole on the integration arc (c = 1 with negative power)."""
 
 
+class PrecisionLossError(HahnPathsError):
+    """A closed-form float sum would cancel more digits than its error bound allows."""
+
+
 class IncompatibleRadicalsError(HahnPathsError):
     """Two exact square-root numbers cannot be added inside the rational field."""

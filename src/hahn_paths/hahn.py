@@ -258,7 +258,7 @@ class _SliceBasis:
     def norm2(self, k: int) -> Fraction:
         """Squared norm of Q_k w.r.t. the factorial-form weight.
 
-        Chained by the ratio n_k / n_(k-1) from a memoized neighbour; otherwise,
+        Chained by the ratio n_k / n_(k-1) from a memoized n_(k-1); otherwise,
         or across a zero factor, from the closed form (which raises if degenerate).
         """
         memo = self._norm_memo
@@ -270,10 +270,6 @@ class _SliceBasis:
             num, den = _norm_ratio(k, p.alpha, p.beta, p.M)
             if den:
                 value = memo[k - 1] * Fraction(num, den)
-        elif k + 1 in memo:
-            num, den = _norm_ratio(k + 1, p.alpha, p.beta, p.M)
-            if num:
-                value = memo[k + 1] * Fraction(den, num)
         if value is None:
             value = _hahn_norm2_signed(k, p.alpha, p.beta, p.M) / self.lam
         memo[k] = value

@@ -1,14 +1,17 @@
-"""Test oracles: adaptive quadrature of the arc integrals that the library evaluates in closed form.
+"""Test oracles: quadrature of the arc integrals that the library evaluates in closed form.
 
 The library's ``bulk.arc_integral`` is a finite formula; these functions
 integrate the same contour integrands numerically, so the tests can check
-the formula against an independent computation.
+the formula against an independent computation.  Adaptive Simpson serves
+short offsets; composite Gauss-Legendre, one panel per oscillation, serves
+offsets in the thousands, where the adaptive oracle runs out of panels.
 """
 
 from __future__ import annotations
 
 import cmath
-from math import pi
+import math
+from math import cos, pi
 
 from hahn_paths import Side
 
@@ -16,6 +19,7 @@ QUAD_TOL = 1e-12
 QUAD_PANEL_CAP = 2**20
 IMAG_REL_TOL = 1e-10
 IMAG_ABS_FLOOR = 1e-12
+GAUSS_ORDER = 20
 
 
 class QuadratureError(Exception):
@@ -86,6 +90,50 @@ def _unit_arc_integral(c: float, phi: float, dx: int, dt: int, side: Side) -> co
         return (1.0 + c * w) ** dt * cmath.exp(1j * dx * theta)
 
     return _arc_integral(integrand, phi, abs(dx) + abs(dt), side)
+
+
+def _gauss_legendre(order: int) -> list[tuple[float, float]]:
+    """Nodes and weights on [-1, 1], by Newton's method on the Legendre polynomial."""
+    rule = []
+    for i in range(1, order + 1):
+        x = cos(pi * (i - 0.25) / (order + 0.5))
+        for _ in range(100):
+            p_prev, p = 1.0, x
+            for k in range(2, order + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            slope = order * (x * p - p_prev) / (x * x - 1.0)
+            step = p / slope
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        rule.append((x, 2.0 / ((1.0 - x * x) * slope * slope)))
+    return rule
+
+
+def _gauss_unit_arc_integral(c: float, phi: float, dx: int, dt: int, side: Side) -> complex:
+    """_unit_arc_integral by composite Gauss-Legendre on equal panels.
+
+    There are |dx| + |dt| + 4 panels, plus one per distance from the pole
+    w = -1/c to the arc along the arc's length.
+    """
+    if side is Side.RIGHT:
+        lo, hi, sign = -phi, phi, 1.0
+    else:
+        lo, hi, sign = phi, 2.0 * pi - phi, -1.0
+    middle = 0.0 if side is Side.RIGHT else pi
+    toward_pole = pi if c > 0 else 0.0
+    nearest = toward_pole if middle == toward_pole else phi
+    pole_distance = abs(cmath.exp(1j * nearest) + 1.0 / c)
+    panels = abs(dx) + abs(dt) + 4 + math.ceil((hi - lo) / pole_distance)
+    half = 0.5 * (hi - lo) / panels
+    rule = _gauss_legendre(GAUSS_ORDER)
+    total = 0.0 + 0.0j
+    for p in range(panels):
+        mid = lo + (2 * p + 1) * half
+        for x, weight in rule:
+            theta = mid + half * x
+            total += weight * (1.0 + c * cmath.exp(1j * theta)) ** dt * cmath.exp(1j * dx * theta)
+    return sign * half * total / (2.0 * pi)
 
 
 def _hole_kernel_raw(c: float, psi: float, dx: int, dt: int) -> complex:

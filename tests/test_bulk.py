@@ -11,6 +11,7 @@ from hahn_paths import (
     LimitRegime,
     ModelParams,
     PoleOnContourError,
+    PrecisionLossError,
     Region,
     Side,
     amplitude_inversion,
@@ -25,12 +26,14 @@ from hahn_paths import (
     particle_hole_duality_residual,
     sine_kernel_static,
 )
+from hahn_paths import bulk
 from hahn_paths.bulk import arc_integral, arc_monomial, arccos_argument
 from oracles import (
     IMAG_ABS_FLOOR,
     IMAG_REL_TOL,
     QuadratureError,
     _check_real,
+    _gauss_unit_arc_integral,
     _hole_kernel_raw,
     _unit_arc_integral,
 )
@@ -178,20 +181,87 @@ def test_oracle_quadrature_panel_budget(monkeypatch):
         _unit_arc_integral(1.0, 2 * pi / 3, 1, -2, Side.RIGHT)
 
 
-ARC_AMPLITUDES = [sign * c for c in (0.3, 0.7, 0.9, 1.1, 1.6, 3.0) for sign in (1, -1)]
-
-
-@pytest.mark.parametrize("c", ARC_AMPLITUDES)
+@pytest.mark.parametrize("c", [0.3, -0.3, 0.9, -0.9, 1.6, -3.0])
 def test_closed_form_equals_quadrature_negative_dt(c):
-    # 2,592 cases over the 12 amplitudes: both sides of both unit-circle
-    # poles, both arcs, and both sides of the u = 1 + cw winding.
-    for phi in (0.3, 1.0, 2.0, 2.9):
+    # One case per branch of the dt < 0 partial fractions: |c| > 1 through
+    # the amplitude inversion, dx <= 0 and dx >= 1, both arcs, both signs of
+    # c, and an arc end near (phi = 2.9) and far from the pole.  The series
+    # are checked at far offsets below.
+    for phi in (1.0, 2.9):
         for side in (Side.RIGHT, Side.LEFT):
-            for dx in range(-4, 5):
-                for dt in (-1, -2, -3):
+            for dx in (-4, -1, 0, 1, 2, 4):
+                for dt in (-1, -3):
                     closed = arc_integral(c, phi, dx, dt, side)
                     quad = _check_real(_unit_arc_integral(c, phi, dx, dt, side))
                     assert abs(closed - quad) < 1e-12, (c, phi, side, dx, dt)
+
+
+# About the widest support a limit run may probe under cli.LIMIT_MAX_SIDE.
+FAR_DX = 2000
+
+
+@pytest.mark.parametrize("c", [0.02, 0.3, 0.99, 1.0, 1.01, 3.0, 50.0])
+def test_closed_form_far_offsets_accurate_or_refused(c):
+    # Out to |dx| = FAR_DX and at amplitudes near the liquid region's edges
+    # (c -> 0, 1, infinity), the dt < 0 closed form is within 1e-12 of
+    # Gauss-Legendre quadrature, or it refuses with PrecisionLossError.
+    refused = []
+    for phi in (2.0, 2.9):
+        for dx in (-FAR_DX, -60, 60, FAR_DX):
+            for dt in (-1, -3):
+                try:
+                    closed = arc_integral(c, phi, dx, dt, Side.RIGHT)
+                except PrecisionLossError:
+                    refused.append((phi, dx, dt))
+                    continue
+                quad = _check_real(_gauss_unit_arc_integral(c, phi, dx, dt, Side.RIGHT))
+                assert abs(closed - quad) < 1e-12, (c, phi, dx, dt, closed, quad)
+    # Only |c| near 1 with the pole at w = -1/c 0.24 from the arc's end, at a
+    # middle offset with |dt| > 1, defeats every form.
+    want = [(2.9, -60, -3), (2.9, 60, -3)] if abs(c - 1.0) < 0.05 else []
+    assert refused == want, (c, refused)
+
+
+def _must_not_run(*args):
+    raise AssertionError(f"a later form ran for {args}")
+
+
+@pytest.mark.parametrize(
+    "case, later_forms",
+    [
+        # partial fractions at dx <= 0
+        ((0.9, 1.0, -4, -3, Side.LEFT), ("_endpoint_series", "_w_series")),
+        # 0.02^(1-dx) rules out partial fractions; the endpoint series answers
+        ((0.02, 2.0, 60, -3, Side.RIGHT), ("_w_series",)),
+        # c = 1 at dx = -300: the endpoint series after the inversion to dx = 303
+        ((1.0, 2.0, -300, -3, Side.RIGHT), ("_w_series",)),
+        # min|u| = 0.33 at the arc's end keeps the endpoint remainder from
+        # shrinking, so the w-series answers
+        ((0.7, 2.9, 30, -2, Side.RIGHT), ()),
+        # the pole 0.1 from the left arc's middle leaves only the w-series
+        ((0.9, 1.0, 60, -3, Side.LEFT), ()),
+    ],
+)
+def test_each_form_answers_its_case(monkeypatch, case, later_forms):
+    for name in later_forms:
+        monkeypatch.setattr(bulk, name, _must_not_run)
+    closed = arc_integral(*case)
+    quad = _check_real(_gauss_unit_arc_integral(*case))
+    assert abs(closed - quad) < 1e-12, (case, closed, quad)
+
+
+def test_precision_loss_names_the_case():
+    with pytest.raises(PrecisionLossError, match=r"c=1.0, phi=2.9, dx=60, dt=-3 \(right arc\)"):
+        arc_integral(1.0, 2.9, 60, -3, Side.RIGHT)
+    with pytest.raises(PrecisionLossError):
+        extended_sine_kernel(LimitKernelParams(1.0, 2.9), -60, -3)
+    # The bound, not the size estimate that picks the forms, decides: the
+    # partial fractions run here and are refused, as is a binomial sum whose
+    # terms reach 50^5 around a result of 3e4.
+    with pytest.raises(PrecisionLossError):
+        arc_integral(1.0, 2.5, -11, -5, Side.RIGHT)
+    with pytest.raises(PrecisionLossError):
+        arc_integral(50.0, 2.9, 60, 5, Side.RIGHT)
 
 
 def test_closed_form_zero_and_full_arcs():
@@ -207,12 +277,14 @@ def test_closed_form_zero_and_full_arcs():
             assert abs(backwards + full) < 1e-12, (c, dx)
 
 
-@pytest.mark.parametrize("c", [0.3, 0.7, 0.9, 1.0])
+@pytest.mark.parametrize("c", [0.3, 0.9, 1.0])
 def test_hole_kernel_closed_form_equals_quadrature(c):
-    # w = c v turns the hole-side integral into c^dx times the arc integral at -c.
-    for psi in (0.3, 1.0, 2.0, 2.9):
-        for dx in range(-4, 5):
-            for dt in (-3, -2, -1, 0, 1, 2, 3):
+    # w = c v turns the hole-side integral into c^dx times the arc integral at -c:
+    # the binomial sum on the right arc (dt >= 0) and, on the left arc, each
+    # dt < 0 branch, up to the c = 1 circle whose pole at w = 1 stays off the arc.
+    for psi in (1.0, 2.9):
+        for dx in (-3, 0, 1, 3):
+            for dt in (-3, -1, 2):
                 side = Side.RIGHT if dt >= 0 else Side.LEFT
                 closed = c**dx * arc_integral(-c, psi, dx, dt, side)
                 quad = _check_real(_hole_kernel_raw(c, psi, dx, dt))

@@ -7,12 +7,16 @@ import hahn_paths
 from hahn_paths import (
     EnumerationCapExceeded,
     HahnPathsError,
+    LimitRegime,
     ResourceLimitError,
     SamplerSizeError,
+    Side,
     bulk,
     cli,
+    limit_params,
 )
 from hahn_paths.cli import main
+from oracles import _gauss_unit_arc_integral
 
 PACKAGE_ERRORS = [
     obj
@@ -301,6 +305,25 @@ def test_limit_nonfinite_or_nonpositive_scale_exit_2(capsys, tmp_path, rho):
     )
     assert code == 2
     assert err.startswith("error: --rhos")
+    assert not out.exists()
+
+
+def test_limit_far_offset_matches_quadrature(capsys):
+    # 60 sites from the base point at c = 1, the limit is within 1e-12 of quadrature.
+    doc = run_json(
+        capsys, "limit", "--regime", "1,1,2,1,1", "--rhos", "80", "--offsets", "60:-1"
+    )
+    params = limit_params(LimitRegime(1, 1, 2, 1, 1))
+    quad = _gauss_unit_arc_integral(params.c, params.phi, 60, -1, Side.RIGHT)
+    assert abs(doc["convergence"][0]["cells"]["60:-1"]["limit"] - quad.real) < 1e-12
+
+
+def test_limit_refused_arc_sum_exit_4(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(bulk, "ARC_ERROR_BOUND", 1e-300)
+    out = tmp_path / "l.json"
+    code, _, err = run(capsys, "limit", "--regime", "1,1,2,1,1", "--out", str(out))
+    assert code == 4
+    assert err.startswith("error: no closed form for the arc sum")
     assert not out.exists()
 
 

@@ -149,9 +149,10 @@ def test_recurrence_degenerate_step_raises():
 
 
 def test_norm_chain_equals_closed_form():
-    # Norms chained by the ratio n_k / n_(k-1), requested in increasing,
-    # decreasing and middle-out order, equal the closed form on every slice
-    # of N <= 8, S <= T <= 16.
+    # Norms chained forward by the ratio n_k / n_(k-1) (increasing and
+    # middle-out order), or each from the closed form when no n_(k-1) is
+    # memoized (decreasing order), equal the closed form on every slice of
+    # N <= 8, S <= T <= 16.
     for model in sweep_models(8, 16):
         for t in range(model.T + 1):
             p = slice_params(model, t)
