@@ -42,6 +42,9 @@ class LimitRegime:
     xtilde: float
 
     def __post_init__(self):
+        values = (self.Ntilde, self.Stilde, self.Ttilde, self.ttilde, self.xtilde)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"regime values must be finite, got {values}")
         if not (0 < self.Stilde <= self.Ttilde):
             raise ValueError(f"need 0 < S~ <= T~, got {self.Stilde}, {self.Ttilde}")
         if not self.Ntilde > 0:
@@ -105,20 +108,6 @@ def limit_params(regime: LimitRegime) -> LimitKernelParams:
     d_value = num / den
     phi = math.acos(max(-1.0, min(1.0, d_value)))
     return LimitKernelParams(c, phi)
-
-
-def limit_tridiagonal(regime: LimitRegime) -> tuple[float, float]:
-    """Diagonal A and off-diagonal B of the limiting difference operator.
-
-    The left endpoint of the scaled spectral segment, (-N~(N~+T~) - A) / (2B),
-    clamped to [-1, 1], is cos(phi) of limit_params.
-    """
-    x, d2, d3, d4 = regime.box_distances
-    a_diag = -(d2 * d3) - x * d4
-    prod = d2 * d3 * x * d4
-    if prod <= 0:
-        raise BoundaryRegimeError(f"regime point on its box boundary: {regime}")
-    return a_diag, math.sqrt(prod)
 
 
 def sine_kernel_static(phi: float, d: int) -> float:
@@ -348,54 +337,6 @@ def ellipse_classify(regime: LimitRegime) -> Region:
     if num == 0:
         raise BoundaryRegimeError(f"indeterminate frozen classification at {regime}")
     return Region.FROZEN_EMPTY if num > 0 else Region.FROZEN_FULL
-
-
-def hexagon_side_lines(
-    ntilde: float, stilde: float, ttilde: float
-) -> list[tuple[str, float, float]]:
-    """The six boundary lines of the admissible region in (t~, x~) coordinates.
-
-    Each entry is ("t", c, 0) for the vertical line t~ = c, or
-    ("x", p, q) for the line x~ = p t~ + q.
-    """
-    return [
-        ("t", 0.0, 0.0),
-        ("t", ttilde, 0.0),
-        ("x", 0.0, 0.0),
-        ("x", 0.0, stilde + ntilde),
-        ("x", 1.0, ntilde),
-        ("x", 1.0, stilde - ttilde),
-    ]
-
-
-def ellipse_tangency_discriminants(
-    ntilde: float, stilde: float, ttilde: float
-) -> list[float]:
-    """Discriminant of the form restricted to each hexagon side (0 iff tangent)."""
-    axx = ttilde**2
-    att = (stilde + ntilde) ** 2
-    axt = 2 * (ntilde * ttilde - stilde * ttilde - 2 * stilde * ntilde)
-    at = 2 * (
-        stilde * ntilde**2
-        - ntilde * ttilde * stilde
-        - ntilde**2 * ttilde
-        + stilde**2 * ntilde
-    )
-    ax = 2 * (ntilde * ttilde * stilde - ntilde * ttilde**2)
-    c0 = ntilde**2 * (ttilde - stilde) ** 2
-    out = []
-    for kind, p, q in hexagon_side_lines(ntilde, stilde, ttilde):
-        if kind == "t":
-            t_fixed = p
-            a2 = axx
-            b2 = axt * t_fixed + ax
-            c2 = att * t_fixed**2 + at * t_fixed + c0
-        else:
-            a2 = axx * p**2 + axt * p + att
-            b2 = 2 * axx * p * q + axt * q + ax * p + at
-            c2 = axx * q**2 + ax * q + c0
-        out.append(b2 * b2 - 4.0 * a2 * c2)
-    return out
 
 
 # -- particle-hole duality ---------------------------------------------------

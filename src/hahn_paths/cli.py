@@ -49,6 +49,12 @@ EXIT_INPUT = 2
 LIMIT_MAX_DMAX = 10_000
 LIMIT_MAX_SIDE = 2200
 
+# Cost cap of `kernel`: an exact query of four points at four times near the
+# centre of (n, n, 2n) takes about 25 s at a model side max(N, T) of 1600 and
+# 33 s at 1800 (2-vCPU VM, CPython 3.11), and its largest printed integers have
+# 2364 and 2660 digits; Python refuses to print one of more than 4300.
+KERNEL_MAX_SIDE = 1600
+
 
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
@@ -84,24 +90,18 @@ def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _parse_query(text: str | None) -> list[tuple[int, int]]:
+def _parse_pairs(text: str | None, what: str) -> list[tuple[int, int]]:
+    """Comma-separated integer pairs "a:b,a:b,..."; none for an empty or absent flag."""
     if not text:
         return []
-    points = []
+    pairs = []
     for chunk in text.split(","):
-        x, _, t = chunk.partition(":")
-        points.append((int(x), int(t)))
-    return points
-
-
-def _parse_offsets(text: str | None) -> list[tuple[int, int]]:
-    if not text:
-        return [(dx, dt) for dx in range(-3, 4) for dt in range(-2, 3)]
-    offsets = []
-    for chunk in text.split(","):
-        dx, _, dt = chunk.partition(":")
-        offsets.append((int(dx), int(dt)))
-    return offsets
+        a, _, b = chunk.partition(":")
+        try:
+            pairs.append((int(a), int(b)))
+        except ValueError:
+            raise ValueError(f"{what} needs integer pairs a:b, got {chunk!r}") from None
+    return pairs
 
 
 def _resolve_model(args) -> ModelParams:
@@ -153,7 +153,7 @@ def _runs_to_trajectory(model: ModelParams, runs: list[str]) -> Trajectory:
 def cmd_enumerate(args) -> int:
     model = _resolve_model(args)
     exact = args.mode == "exact"
-    query = _parse_query(args.query)
+    query = _parse_pairs(args.query, "--query")
     check_query(model, query)
     families = enumerate_path_families(model)
     marginals = {}
@@ -189,6 +189,12 @@ def cmd_kernel(args) -> int:
         if args.query is not None:
             raise ValueError("csv output holds only the static matrix; drop --query")
     model = _resolve_model(args)
+    query = _parse_pairs(args.query, "--query")
+    side = max(model.N, model.T)
+    if side > KERNEL_MAX_SIDE:
+        raise ResourceLimitError(
+            f"model side max(N, T) = {side} exceeds the cap {KERNEL_MAX_SIDE}"
+        )
     exact = args.mode == "exact"
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -211,7 +217,6 @@ def cmd_kernel(args) -> int:
         csv_lines.append("x\\y," + ",".join(str(y) for y in support))
         for x, row in zip(support, matrix):
             csv_lines.append(f"{x}," + ",".join(repr(float(v)) for v in row))
-    query = _parse_query(args.query)
     if query:
         kmatrix = KernelMatrix.build(model, CorrelationQuery(tuple(query)))
         report["query"] = [{"x": x, "t": t} for x, t in query]
@@ -292,6 +297,11 @@ def cmd_limit(args) -> int:
     for rho in rhos:
         if not (math.isfinite(rho) and rho > 0):
             raise ValueError(f"--rhos scales must be finite and positive, got {rho}")
+    if args.offsets is not None and not rhos:
+        raise ValueError("--offsets needs --rhos, whose convergence table it sets")
+    offsets = _parse_pairs(args.offsets, "--offsets") or [
+        (dx, dt) for dx in range(-3, 4) for dt in range(-2, 3)
+    ]
     if args.dmax > LIMIT_MAX_DMAX:
         raise ResourceLimitError(f"--dmax {args.dmax} exceeds the cap {LIMIT_MAX_DMAX}")
     side = max(rhos, default=0.0) * max(regime.Ntilde, regime.Ttilde)
@@ -327,7 +337,6 @@ def cmd_limit(args) -> int:
                 residuals[f"{dx}:{dt}"] = None
     report["duality_residuals"] = residuals
     if rhos:
-        offsets = _parse_offsets(args.offsets)
         table = convergence_probe(regime, offsets, rhos)
         report["convergence"] = [
             {

@@ -10,11 +10,10 @@ module is tested against.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate, product
 from math import comb
 
 from .errors import EnumerationCapExceeded
@@ -141,23 +140,14 @@ def count_path_families(t1: int, a: list[int], t2: int, b: list[int]) -> int:
     return det_bareiss(matrix)
 
 
-def _resolve_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_ENUMERATION_CAP
-
-
-def enumerate_path_families(model: ModelParams, cap: int | None = None) -> list[Trajectory]:
+def enumerate_path_families(model: ModelParams) -> list[Trajectory]:
     """Every path family, in lexicographic order over move sequences.
 
     The family's key is the time-major tuple of per-step move vectors; DFS
     over admissible move subsets visits keys in ascending order.  Raises
     EnumerationCapExceeded when the exact count is larger than the cap.
     """
-    cap = _resolve_cap(cap)
+    cap = int(os.environ.get(CAP_ENV_VAR, DEFAULT_ENUMERATION_CAP))
     total = model.family_count()
     if total > cap:
         raise EnumerationCapExceeded(f"{total} families exceeds cap {cap}")
@@ -212,37 +202,11 @@ def share_through(families: list[Trajectory], query: list[tuple[int, int]]) -> F
     return Fraction(hits, len(families))
 
 
-def oracle_correlation(
-    model: ModelParams, query: list[tuple[int, int]], cap: int | None = None
-) -> Fraction:
+def oracle_correlation(model: ModelParams, query: list[tuple[int, int]]) -> Fraction:
     """Exact probability that the random family passes through all (x, t) points.
 
     Brute force over the full enumeration; the ground truth for every
     kernel-based computation on small instances.
     """
     check_query(model, query)
-    return share_through(enumerate_path_families(model, cap=cap), query)
-
-
-def oracle_tables(
-    model: ModelParams, cap: int | None = None
-) -> tuple[int, Counter, Counter]:
-    """One enumeration pass giving all 1-point and 2-point occupation counts.
-
-    Returns (family_count, singles, pairs) where singles[(x, t)] counts the
-    families through (x, t) and pairs[frozenset-free ordered pair] counts
-    families through both points of each unordered pair (keyed by the sorted
-    pair of (x, t) tuples).
-    """
-    families = enumerate_path_families(model, cap=cap)
-    singles: Counter = Counter()
-    pairs: Counter = Counter()
-    for fam in families:
-        points = [
-            (x, t)
-            for t in range(model.T + 1)
-            for x in fam.positions[t]
-        ]
-        singles.update(points)
-        pairs.update(combinations(sorted(points), 2))
-    return len(families), singles, pairs
+    return share_through(enumerate_path_families(model), query)

@@ -35,10 +35,6 @@ class DegenerateParameterError(HahnPathsError):
     """A zero denominator Pochhammer was reached with a nonzero numerator."""
 
 
-class ParameterRegimeError(HahnPathsError):
-    """Parameters are outside the regime where the requested quantity is positive/defined."""
-
-
 class BoundaryRegimeError(HahnPathsError):
     """The macroscopic regime point sits on the boundary of its admissible box."""
 

@@ -8,8 +8,8 @@ case is reported.
 
 All evaluation is exact rational arithmetic.  The weight is kept in the
 manifestly positive factorial form; the Pochhammer form (with large
-negative integer parameters) is used only where the classical identities
-need it, with its constant sign tracked explicitly.
+negative integer parameters) is used only for the closed-form norms, with
+its constant sign tracked explicitly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 
 from .combinatorics import ModelParams
-from .errors import DegenerateParameterError, ParameterRegimeError
+from .errors import DegenerateParameterError
 from .radicals import SignedSqrt
 
 
@@ -115,31 +115,6 @@ def slice_weight(model: ModelParams, t: int, x: int) -> Fraction:
     return Fraction(1, denom)
 
 
-def hahn_q(k: int, xp: int, alpha: int, beta: int, M: int) -> Fraction:
-    """Hahn polynomial Q_k(x'; alpha, beta, M) via its terminating series.
-
-    Exact rational evaluation; valid for any integer x' (it is a polynomial).
-    Raises DegenerateParameterError if a denominator Pochhammer vanishes
-    before the numerator terminates the series.
-    """
-    if not 0 <= k <= M:
-        raise ValueError(f"need 0 <= k <= M, got k={k}, M={M}")
-    total = Fraction(1)
-    term = Fraction(1)
-    for i in range(1, k + 1):
-        num = (-k + i - 1) * (-xp + i - 1) * (k + alpha + beta + i)
-        if num == 0:
-            break
-        den = (-M + i - 1) * (alpha + i) * i
-        if den == 0:
-            raise DegenerateParameterError(
-                f"zero denominator at term {i} of Q_{k}(x'={xp}; {alpha}, {beta}, {M})"
-            )
-        term *= Fraction(num, den)
-        total += term
-    return total
-
-
 def _pochhammer_weight(xp: int, alpha: int, beta: int, M: int) -> Fraction:
     return Fraction(
         pochhammer(alpha + 1, xp) * pochhammer(beta + 1, M - xp),
@@ -168,26 +143,6 @@ def _norm_ratio(k: int, alpha: int, beta: int, M: int) -> tuple[int, int]:
     return num, den
 
 
-def hahn_norm2(k: int, alpha: int, beta: int, M: int) -> Fraction:
-    """Squared norm of Q_k w.r.t. the positive (sign-normalized) weight.
-
-    The closed form is scaled by the constant sign of the Pochhammer weight
-    on 0..M; a sign change across the support or a non-positive result
-    raises ParameterRegimeError.
-    """
-    weights = [_pochhammer_weight(xp, alpha, beta, M) for xp in range(M + 1)]
-    signs = {1 if w > 0 else (-1 if w < 0 else 0) for w in weights}
-    signs.discard(0)
-    if len(signs) != 1:
-        raise ParameterRegimeError(
-            f"weight sign is not constant on 0..{M} for alpha={alpha}, beta={beta}"
-        )
-    result = signs.pop() * _hahn_norm2_signed(k, alpha, beta, M)
-    if result <= 0:
-        raise ParameterRegimeError(f"non-positive squared norm {result}")
-    return result
-
-
 def _recurrence_coefficients(n: int, alpha: int, beta: int, M: int) -> tuple[int, int, int, int]:
     """Integers (b, e, c, d) with d Q_{n+1}(x') = (b - e x') Q_n(x') - c Q_{n-1}(x').
 
@@ -213,7 +168,8 @@ class _SliceBasis:
     """Cached per-slice data: weights, polynomial values, norms.
 
     The values Q_0(x), Q_1(x), ... at one x form a column, extended on
-    demand with the three-term recurrence; ``hahn_q`` is its test oracle.
+    demand with the three-term recurrence; the tests check it against the
+    terminating series.
     Norms are taken w.r.t. the factorial-form weight, obtained from the
     closed form through the constant Pochhammer/factorial ratio lambda, read
     at the left end of the support.
@@ -292,63 +248,3 @@ def orthonormal_function(model: ModelParams, n: int, t: int, x: int) -> SignedSq
     if not 0 <= n <= basis.params.M:
         raise ValueError(f"n={n} outside 0..{basis.params.M}")
     return basis.f(n, x)
-
-
-def contiguous_relation_residuals(
-    model: ModelParams, t: int, k: int, x: int
-) -> tuple[Fraction, Fraction]:
-    """LHS - RHS of the two contiguous relations tying neighboring slices.
-
-    First relation lowers M by one at fixed (alpha, beta); second shifts
-    (alpha, beta) to (alpha+1, beta-1) at fixed M.  Both are exactly zero
-    wherever all polynomial evaluations are defined.
-    """
-    p = slice_params(model, t)
-    xp = x - p.shift
-    alpha, beta, M = p.alpha, p.beta, p.M
-    r1 = (
-        xp * hahn_q(k, xp - 1, alpha, beta, M - 1)
-        + (M - xp) * hahn_q(k, xp, alpha, beta, M - 1)
-        - M * hahn_q(k, xp, alpha, beta, M)
-    )
-    r2 = (
-        xp * hahn_q(k, xp - 1, alpha + 1, beta - 1, M)
-        + (-xp - alpha - 1) * hahn_q(k, xp, alpha + 1, beta - 1, M)
-        + (alpha + 1) * hahn_q(k, xp, alpha, beta, M)
-    )
-    return (r1, r2)
-
-
-def dual_orthogonality_residual(
-    alpha: int, beta: int, M: int, x: int, y: int
-) -> Fraction:
-    """Residual of the dual orthogonality relation at lattice points (x, y)."""
-    if not (0 <= x <= M and 0 <= y <= M):
-        raise ValueError(f"need 0 <= x, y <= M, got x={x}, y={y}, M={M}")
-    total = Fraction(0)
-    for k in range(M + 1):
-        coeff = 1 / _hahn_norm2_signed(k, alpha, beta, M)
-        total += coeff * hahn_q(k, x, alpha, beta, M) * hahn_q(k, y, alpha, beta, M)
-    target = Fraction(0)
-    if x == y:
-        target = 1 / _pochhammer_weight(x, alpha, beta, M)
-    return total - target
-
-
-def difference_relation_residual(model: ModelParams, t: int, k: int, x: int) -> Fraction:
-    """Residual of the second-order difference equation satisfied by Q_k.
-
-    Holds as a polynomial identity, so x may sit anywhere (neighbor values
-    outside the support are polynomial evaluations).
-    """
-    p = slice_params(model, t)
-    xp = x - p.shift
-    alpha, beta, M = p.alpha, p.beta, p.M
-    b_coeff = (xp + alpha + 1) * (xp - M)
-    d_coeff = xp * (xp - beta - M - 1)
-    q_mid = hahn_q(k, xp, alpha, beta, M)
-    q_up = hahn_q(k, xp + 1, alpha, beta, M)
-    q_dn = hahn_q(k, xp - 1, alpha, beta, M)
-    lhs = k * (k + alpha + beta + 1) * q_mid
-    rhs = b_coeff * (q_up - q_mid) + d_coeff * (q_dn - q_mid)
-    return lhs - rhs

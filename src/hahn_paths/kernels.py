@@ -35,14 +35,11 @@ class CorrelationQuery:
 
 
 def static_kernel(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:
-    """Projection kernel onto the first N orthonormal functions of slice t."""
-    basis = slice_basis(model, t)
-    if x not in basis.support or y not in basis.support:
-        return SignedSqrt.zero()
-    coeff = Fraction(0)
-    for n in range(model.N):
-        coeff += basis.q(n, x) * basis.q(n, y) / basis.norm2(n)
-    return SignedSqrt(coeff, basis.weights[x] * basis.weights[y])
+    """Projection kernel onto the first N orthonormal functions of slice t.
+
+    It is the extended kernel at equal times, K((x, t); (y, t)).
+    """
+    return extended_kernel(model, (x, t), (y, t))
 
 
 def complementary_kernel(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:
@@ -264,15 +261,3 @@ def correlation(
     if len(query) == 0:
         return Fraction(1)
     return KernelMatrix.build(model, query).determinant()
-
-
-def gauge_transform(matrix: KernelMatrix, gauge) -> KernelMatrix:
-    """Conjugate the kernel matrix by a pointwise gauge F: entry *= F(p)/F(q)."""
-    factors = [Fraction(gauge(x, t)) for x, t in matrix.points]
-    if any(f == 0 for f in factors):
-        raise ValueError("gauge function vanishes at a queried point")
-    rows = tuple(
-        tuple(value * fi / fj for fj, value in zip(factors, row))
-        for fi, row in zip(factors, matrix.entries)
-    )
-    return KernelMatrix(matrix.model, matrix.points, rows)

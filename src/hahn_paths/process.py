@@ -1,9 +1,8 @@
 """The Markov process of particle configurations: slice laws, transitions, sampling.
 
 Slice distributions are squared-Vandermonde ensembles with the slice weight;
-one-step transitions have an exact product form and an equivalent
-determinantal form.  The transfer matrix couples the orthonormal systems of
-consecutive slices through the coupling coefficients c_i^t.  The sampler
+one-step transitions have an exact product form, and the transfer matrix
+between consecutive slices a closed bidiagonal form.  The sampler
 walks the move vectors depth-first, pruning a branch as soon as a path leaves
 the next support or touches its neighbour (a step of weight <= 0 always leaves
 the next support), so only admissible moves are built; each carries the integer
@@ -15,44 +14,15 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import ModelParams, Trajectory, det_bareiss
+from .combinatorics import ModelParams, Trajectory
 from .errors import SamplerSizeError, TransitionRowSumError
 from .hahn import pochhammer, slice_basis, slice_params
-from .radicals import SignedSqrt, sum_signed_sqrts
+from .radicals import SignedSqrt
 
 SAMPLER_MAX_PATHS = 20
-
-
-def coupling_coefficient_sq(model: ModelParams, t: int, i: int) -> Fraction:
-    """Square of c_i^t, clamped to zero where either factor turns negative."""
-    if not 0 <= t <= model.T - 1:
-        raise ValueError(f"t={t} outside 0..{model.T - 1}")
-    N, T = model.N, model.T
-    f1 = Fraction(t + N - i, t + N)
-    f2 = Fraction(T + N - t - 1 - i, T + N - t - 1)
-    if f1 < 0 or f2 < 0:
-        return Fraction(0)
-    return f1 * f2
-
-
-@dataclass(frozen=True)
-class CouplingCoefficients:
-    """c_i^t for i = 0 .. dimension of the larger of slices t, t+1."""
-
-    t: int
-    values: tuple[SignedSqrt, ...]
-
-
-def coupling_coefficients(model: ModelParams, t: int) -> CouplingCoefficients:
-    dim = max(slice_params(model, t).M, slice_params(model, t + 1).M) + 1
-    values = tuple(
-        SignedSqrt.sqrt(coupling_coefficient_sq(model, t, i)) for i in range(dim)
-    )
-    return CouplingCoefficients(t, values)
 
 
 def _vandermonde(z: tuple[int, ...]) -> int:
@@ -130,26 +100,6 @@ def transition_probability(
     return Fraction(num, _vandermonde(x) * pochhammer(T - t, N))
 
 
-def transition_probability_determinantal(
-    model: ModelParams, t: int, x: tuple[int, ...], y: tuple[int, ...]
-) -> Fraction:
-    """The same one-step law via the bidiagonal determinant form."""
-    x, y = tuple(x), tuple(y)
-    _validate_config(model, t, x)
-    _validate_config(model, t + 1, y)
-    N, S, T = model.N, model.S, model.T
-    matrix = [
-        [
-            (N + S - xi - 1) * (yj == xi + 1) + (T - t - S + xi) * (yj == xi)
-            for yj in y
-        ]
-        for xi in x
-    ]
-    return Fraction(
-        det_bareiss(matrix) * _vandermonde(y), _vandermonde(x) * pochhammer(T - t, N)
-    )
-
-
 def transfer_matrix(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:
     """Bidiagonal transfer-matrix entry v_{t,t+1}(x, y) in closed form."""
     N, S, T = model.N, model.S, model.T
@@ -165,23 +115,6 @@ def transfer_matrix(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:
     else:
         return SignedSqrt.zero()
     return SignedSqrt.sqrt(Fraction(num, den))
-
-
-def transfer_matrix_series(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:
-    """v_{t,t+1}(x, y) as the coupled series sum_k c_k^t f_k^t(x) f_k^{t+1}(y)."""
-    b_t = slice_basis(model, t)
-    b_next = slice_basis(model, t + 1)
-    if x not in b_t.support or y not in b_next.support:
-        return SignedSqrt.zero()
-    terms = []
-    for k in range(min(b_t.params.M, b_next.params.M) + 1):
-        c2 = coupling_coefficient_sq(model, t, k)
-        if c2 == 0:
-            continue
-        coeff = b_t.q(k, x) * b_next.q(k, y)
-        rad = c2 * b_t.weights[x] * b_next.weights[y] / (b_t.norm2(k) * b_next.norm2(k))
-        terms.append(SignedSqrt(coeff, rad))
-    return sum_signed_sqrts(terms)
 
 
 @lru_cache(maxsize=1024)

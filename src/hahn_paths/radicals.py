@@ -165,11 +165,3 @@ class SignedSqrt:
 
     def __repr__(self) -> str:
         return f"SignedSqrt({self.coeff!r}, {self.radicand!r})"
-
-
-def sum_signed_sqrts(terms) -> SignedSqrt:
-    """Sum an iterable of SignedSqrt values (empty sum is zero)."""
-    total = SignedSqrt.zero()
-    for term in terms:
-        total = total + term
-    return total

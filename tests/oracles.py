@@ -1,19 +1,43 @@
-"""Test oracles: quadrature of the arc integrals that the library evaluates in closed form.
+"""Reference implementations that the tests compare the library against.
 
-The library's ``bulk.arc_integral`` is a finite formula; these functions
-integrate the same contour integrands numerically, so the tests can check
-the formula against an independent computation.  Adaptive Simpson serves
-short offsets; composite Gauss-Legendre, one panel per oscillation, serves
-offsets in the thousands, where the adaptive oracle runs out of panels.
+Each function here computes a quantity a second way, independently of the
+path the library takes: the terminating Hahn series and the closed-form
+norms against the recurrence columns and chained norms, the classical
+identities of the slice polynomials, the determinantal transition law and
+the coupled transfer series, the limiting difference operator and the
+tangency of the inscribed ellipse, a gauge conjugation of kernel matrices,
+occupation tables from one enumeration pass, and quadrature of the arc
+integrals that ``bulk.arc_integral`` evaluates in closed form.  For the
+quadrature, adaptive Simpson serves short offsets; composite Gauss-Legendre,
+one panel per oscillation, serves offsets in the thousands, where the
+adaptive oracle runs out of panels.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 from math import cos, pi
 
-from hahn_paths import Side
+from hahn_paths import (
+    BoundaryRegimeError,
+    DegenerateParameterError,
+    KernelMatrix,
+    LimitRegime,
+    ModelParams,
+    Side,
+    SignedSqrt,
+    enumerate_path_families,
+    slice_params,
+)
+from hahn_paths.combinatorics import det_bareiss
+from hahn_paths.hahn import _hahn_norm2_signed, _pochhammer_weight, pochhammer, slice_basis
+from hahn_paths.process import _validate_config, _vandermonde
+
+# -- arc quadrature ----------------------------------------------------------
 
 QUAD_TOL = 1e-12
 QUAD_PANEL_CAP = 2**20
@@ -156,3 +180,261 @@ def _check_real(value: complex) -> float:
     if not abs(value.imag) < limit:
         raise QuadratureError(f"imaginary residue {value.imag} exceeds {limit}")
     return value.real
+
+
+# -- Hahn polynomials: series, norms, identities -----------------------------
+
+
+class ParameterRegimeError(Exception):
+    """Parameters are outside the regime where the requested quantity is positive/defined."""
+
+
+def hahn_q(k: int, xp: int, alpha: int, beta: int, M: int) -> Fraction:
+    """Hahn polynomial Q_k(x'; alpha, beta, M) via its terminating series.
+
+    Exact rational evaluation; valid for any integer x' (it is a polynomial).
+    Raises DegenerateParameterError if a denominator Pochhammer vanishes
+    before the numerator terminates the series.
+    """
+    if not 0 <= k <= M:
+        raise ValueError(f"need 0 <= k <= M, got k={k}, M={M}")
+    total = Fraction(1)
+    term = Fraction(1)
+    for i in range(1, k + 1):
+        num = (-k + i - 1) * (-xp + i - 1) * (k + alpha + beta + i)
+        if num == 0:
+            break
+        den = (-M + i - 1) * (alpha + i) * i
+        if den == 0:
+            raise DegenerateParameterError(
+                f"zero denominator at term {i} of Q_{k}(x'={xp}; {alpha}, {beta}, {M})"
+            )
+        term *= Fraction(num, den)
+        total += term
+    return total
+
+
+def hahn_norm2(k: int, alpha: int, beta: int, M: int) -> Fraction:
+    """Squared norm of Q_k w.r.t. the positive (sign-normalized) weight.
+
+    The closed form is scaled by the constant sign of the Pochhammer weight
+    on 0..M; a sign change across the support or a non-positive result
+    raises ParameterRegimeError.
+    """
+    weights = [_pochhammer_weight(xp, alpha, beta, M) for xp in range(M + 1)]
+    signs = {1 if w > 0 else (-1 if w < 0 else 0) for w in weights}
+    signs.discard(0)
+    if len(signs) != 1:
+        raise ParameterRegimeError(
+            f"weight sign is not constant on 0..{M} for alpha={alpha}, beta={beta}"
+        )
+    result = signs.pop() * _hahn_norm2_signed(k, alpha, beta, M)
+    if result <= 0:
+        raise ParameterRegimeError(f"non-positive squared norm {result}")
+    return result
+
+
+def contiguous_relation_residuals(
+    model: ModelParams, t: int, k: int, x: int
+) -> tuple[Fraction, Fraction]:
+    """LHS - RHS of the two contiguous relations tying neighboring slices.
+
+    First relation lowers M by one at fixed (alpha, beta); second shifts
+    (alpha, beta) to (alpha+1, beta-1) at fixed M.  Both are exactly zero
+    wherever all polynomial evaluations are defined.
+    """
+    p = slice_params(model, t)
+    xp = x - p.shift
+    alpha, beta, M = p.alpha, p.beta, p.M
+    r1 = (
+        xp * hahn_q(k, xp - 1, alpha, beta, M - 1)
+        + (M - xp) * hahn_q(k, xp, alpha, beta, M - 1)
+        - M * hahn_q(k, xp, alpha, beta, M)
+    )
+    r2 = (
+        xp * hahn_q(k, xp - 1, alpha + 1, beta - 1, M)
+        + (-xp - alpha - 1) * hahn_q(k, xp, alpha + 1, beta - 1, M)
+        + (alpha + 1) * hahn_q(k, xp, alpha, beta, M)
+    )
+    return (r1, r2)
+
+
+def dual_orthogonality_residual(
+    alpha: int, beta: int, M: int, x: int, y: int
+) -> Fraction:
+    """Residual of the dual orthogonality relation at lattice points (x, y)."""
+    if not (0 <= x <= M and 0 <= y <= M):
+        raise ValueError(f"need 0 <= x, y <= M, got x={x}, y={y}, M={M}")
+    total = Fraction(0)
+    for k in range(M + 1):
+        coeff = 1 / _hahn_norm2_signed(k, alpha, beta, M)
+        total += coeff * hahn_q(k, x, alpha, beta, M) * hahn_q(k, y, alpha, beta, M)
+    target = Fraction(0)
+    if x == y:
+        target = 1 / _pochhammer_weight(x, alpha, beta, M)
+    return total - target
+
+
+def difference_relation_residual(model: ModelParams, t: int, k: int, x: int) -> Fraction:
+    """Residual of the second-order difference equation satisfied by Q_k.
+
+    Holds as a polynomial identity, so x may sit anywhere (neighbor values
+    outside the support are polynomial evaluations).
+    """
+    p = slice_params(model, t)
+    xp = x - p.shift
+    alpha, beta, M = p.alpha, p.beta, p.M
+    b_coeff = (xp + alpha + 1) * (xp - M)
+    d_coeff = xp * (xp - beta - M - 1)
+    q_mid = hahn_q(k, xp, alpha, beta, M)
+    q_up = hahn_q(k, xp + 1, alpha, beta, M)
+    q_dn = hahn_q(k, xp - 1, alpha, beta, M)
+    lhs = k * (k + alpha + beta + 1) * q_mid
+    rhs = b_coeff * (q_up - q_mid) + d_coeff * (q_dn - q_mid)
+    return lhs - rhs
+
+
+# -- the particle process: couplings, transitions, transfer series ----------
+
+
+def coupling_coefficient_sq(model: ModelParams, t: int, i: int) -> Fraction:
+    """Square of c_i^t, clamped to zero where either factor turns negative."""
+    if not 0 <= t <= model.T - 1:
+        raise ValueError(f"t={t} outside 0..{model.T - 1}")
+    N, T = model.N, model.T
+    f1 = Fraction(t + N - i, t + N)
+    f2 = Fraction(T + N - t - 1 - i, T + N - t - 1)
+    if f1 < 0 or f2 < 0:
+        return Fraction(0)
+    return f1 * f2
+
+
+def transition_probability_determinantal(
+    model: ModelParams, t: int, x: tuple[int, ...], y: tuple[int, ...]
+) -> Fraction:
+    """The one-step law of ``transition_probability`` via the bidiagonal determinant form."""
+    x, y = tuple(x), tuple(y)
+    _validate_config(model, t, x)
+    _validate_config(model, t + 1, y)
+    N, S, T = model.N, model.S, model.T
+    matrix = [
+        [
+            (N + S - xi - 1) * (yj == xi + 1) + (T - t - S + xi) * (yj == xi)
+            for yj in y
+        ]
+        for xi in x
+    ]
+    return Fraction(
+        det_bareiss(matrix) * _vandermonde(y), _vandermonde(x) * pochhammer(T - t, N)
+    )
+
+
+def transfer_matrix_series(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:
+    """v_{t,t+1}(x, y) as the coupled series sum_k c_k^t f_k^t(x) f_k^{t+1}(y)."""
+    b_t = slice_basis(model, t)
+    b_next = slice_basis(model, t + 1)
+    if x not in b_t.support or y not in b_next.support:
+        return SignedSqrt.zero()
+    terms = []
+    for k in range(min(b_t.params.M, b_next.params.M) + 1):
+        c2 = coupling_coefficient_sq(model, t, k)
+        if c2 == 0:
+            continue
+        coeff = b_t.q(k, x) * b_next.q(k, y)
+        rad = c2 * b_t.weights[x] * b_next.weights[y] / (b_t.norm2(k) * b_next.norm2(k))
+        terms.append(SignedSqrt(coeff, rad))
+    return sum(terms, SignedSqrt.zero())
+
+
+# -- bulk limit: difference operator, ellipse tangency -----------------------
+
+
+def limit_tridiagonal(regime: LimitRegime) -> tuple[float, float]:
+    """Diagonal A and off-diagonal B of the limiting difference operator.
+
+    The left endpoint of the scaled spectral segment, (-N~(N~+T~) - A) / (2B),
+    clamped to [-1, 1], is cos(phi) of limit_params.
+    """
+    x, d2, d3, d4 = regime.box_distances
+    a_diag = -(d2 * d3) - x * d4
+    prod = d2 * d3 * x * d4
+    if prod <= 0:
+        raise BoundaryRegimeError(f"regime point on its box boundary: {regime}")
+    return a_diag, math.sqrt(prod)
+
+
+def ellipse_tangency_discriminants(
+    ntilde: float, stilde: float, ttilde: float
+) -> list[float]:
+    """Discriminant of the form restricted to each hexagon side (0 iff tangent)."""
+    axx = ttilde**2
+    att = (stilde + ntilde) ** 2
+    axt = 2 * (ntilde * ttilde - stilde * ttilde - 2 * stilde * ntilde)
+    at = 2 * (
+        stilde * ntilde**2
+        - ntilde * ttilde * stilde
+        - ntilde**2 * ttilde
+        + stilde**2 * ntilde
+    )
+    ax = 2 * (ntilde * ttilde * stilde - ntilde * ttilde**2)
+    c0 = ntilde**2 * (ttilde - stilde) ** 2
+    # The six boundary lines of the admissible region in (t~, x~) coordinates:
+    # ("t", c, 0) is the vertical line t~ = c, ("x", p, q) the line x~ = p t~ + q.
+    sides = [
+        ("t", 0.0, 0.0),
+        ("t", ttilde, 0.0),
+        ("x", 0.0, 0.0),
+        ("x", 0.0, stilde + ntilde),
+        ("x", 1.0, ntilde),
+        ("x", 1.0, stilde - ttilde),
+    ]
+    out = []
+    for kind, p, q in sides:
+        if kind == "t":
+            t_fixed = p
+            a2 = axx
+            b2 = axt * t_fixed + ax
+            c2 = att * t_fixed**2 + at * t_fixed + c0
+        else:
+            a2 = axx * p**2 + axt * p + att
+            b2 = 2 * axx * p * q + axt * q + ax * p + at
+            c2 = axx * q**2 + ax * q + c0
+        out.append(b2 * b2 - 4.0 * a2 * c2)
+    return out
+
+
+# -- kernel matrices and enumeration tables ----------------------------------
+
+
+def gauge_transform(matrix: KernelMatrix, gauge) -> KernelMatrix:
+    """Conjugate the kernel matrix by a pointwise gauge F: entry *= F(p)/F(q)."""
+    factors = [Fraction(gauge(x, t)) for x, t in matrix.points]
+    if any(f == 0 for f in factors):
+        raise ValueError("gauge function vanishes at a queried point")
+    rows = tuple(
+        tuple(value * fi / fj for fj, value in zip(factors, row))
+        for fi, row in zip(factors, matrix.entries)
+    )
+    return KernelMatrix(matrix.model, matrix.points, rows)
+
+
+def oracle_tables(model: ModelParams) -> tuple[int, Counter, Counter]:
+    """One enumeration pass giving all 1-point and 2-point occupation counts.
+
+    Returns (family_count, singles, pairs) where singles[(x, t)] counts the
+    families through (x, t) and pairs[frozenset-free ordered pair] counts
+    families through both points of each unordered pair (keyed by the sorted
+    pair of (x, t) tuples).
+    """
+    families = enumerate_path_families(model)
+    singles: Counter = Counter()
+    pairs: Counter = Counter()
+    for fam in families:
+        points = [
+            (x, t)
+            for t in range(model.T + 1)
+            for x in fam.positions[t]
+        ]
+        singles.update(points)
+        pairs.update(combinations(sorted(points), 2))
+    return len(families), singles, pairs

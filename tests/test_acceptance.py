@@ -20,33 +20,35 @@ from hahn_paths import (
     ModelParams,
     Region,
     Side,
-    contiguous_relation_residuals,
     convergence_probe,
     correlation,
-    difference_relation_residual,
-    dual_orthogonality_residual,
     ellipse_classify,
     ellipse_form,
-    ellipse_tangency_discriminants,
     enumerate_path_families,
     limit_params,
     particle_hole_duality_residual,
-    oracle_tables,
     sample_trajectory,
     sine_kernel_static,
     slice_distribution,
     slice_params,
     static_kernel,
     transfer_matrix,
-    transfer_matrix_series,
     transition_probability,
-    transition_probability_determinantal,
 )
 from hahn_paths.bulk import _round_half_up, arc_integral, arccos_argument
 from hahn_paths.errors import DegenerateParameterError
 from hahn_paths.hahn import slice_basis
 from hahn_paths.process import _transition_table
-from oracles import _unit_arc_integral
+from oracles import (
+    _unit_arc_integral,
+    contiguous_relation_residuals,
+    difference_relation_residual,
+    dual_orthogonality_residual,
+    ellipse_tangency_discriminants,
+    oracle_tables,
+    transfer_matrix_series,
+    transition_probability_determinantal,
+)
 
 SWEEP = sweep_models(3, 6)
 

@@ -18,11 +18,9 @@ from hahn_paths import (
     convergence_probe,
     ellipse_classify,
     ellipse_form,
-    ellipse_tangency_discriminants,
     extended_kernel,
     extended_sine_kernel,
     limit_params,
-    limit_tridiagonal,
     particle_hole_duality_residual,
     sine_kernel_static,
 )
@@ -36,6 +34,8 @@ from oracles import (
     _gauss_unit_arc_integral,
     _hole_kernel_raw,
     _unit_arc_integral,
+    ellipse_tangency_discriminants,
+    limit_tridiagonal,
 )
 
 CENTER = LimitRegime(1, 1, 2, 1, 1)

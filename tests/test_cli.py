@@ -1,3 +1,4 @@
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from hahn_paths import (
     Side,
     bulk,
     cli,
+    kernels,
     limit_params,
 )
 from hahn_paths.cli import main
@@ -24,6 +26,21 @@ PACKAGE_ERRORS = [
     if isinstance(obj, type) and issubclass(obj, HahnPathsError)
 ]
 EXIT_CODES = {EnumerationCapExceeded: 2, ResourceLimitError: 3, SamplerSizeError: 3}
+
+# SHA-256 of the `kernel --static-t` outputs of STATIC_CASES, in order, computed
+# before the static kernel was evaluated through the extended kernel.
+STATIC_DIGEST = "5db3fe2664ac9ea1a2c0592ba033633c2d0fb2e05fcea8645869516dfdda2f9f"
+STATIC_CASES = [  # (model, t, mode, format, query)
+    ("3,2,5", "1", "exact", "json", None),
+    ("3,2,5", "1", "exact", "csv", None),
+    ("3,2,5", "1", "exact", "json", "0:1,2:3"),
+    ("2,1,3", "0", "float", "json", None),
+    ("4,6,8", "4", "exact", "json", None),
+    ("4,6,8", "7", "float", "csv", None),
+    ("6,3,11", "5", "float", "json", None),
+    ("20,20,40", "20", "exact", "json", None),
+    ("20,20,40", "33", "float", "csv", None),
+]
 
 
 def run(capsys, *argv):
@@ -167,6 +184,49 @@ def test_kernel_csv_rejected_before_any_work(capsys, monkeypatch, tmp_path, argv
     assert not out.exists()
 
 
+def test_static_kernel_outputs_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for model, t, mode, fmt, query in STATIC_CASES:
+        argv = ["kernel", "--model", model, "--static-t", t, "--mode", mode, "--format", fmt]
+        if query is not None:
+            argv += ["--query", query]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        digest.update(out.encode())
+    assert digest.hexdigest() == STATIC_DIGEST
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", "1000000,1000000,2000000", "--query", "0:1"),
+        ("--model", f"1,1,{cli.KERNEL_MAX_SIDE + 1}", "--static-t", "0"),
+        ("--model", f"{cli.KERNEL_MAX_SIDE + 1},0,1", "--query", "0:0"),
+        ("--hexagon", f"1,1,{cli.KERNEL_MAX_SIDE}", "--query", ""),
+    ],
+    ids=" ".join,
+)
+def test_kernel_cost_cap_exit_3_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("kernel work started")
+
+    monkeypatch.setattr(cli, "slice_basis", fail)
+    monkeypatch.setattr(kernels, "slice_basis", fail)
+    monkeypatch.setattr(cli.KernelMatrix, "build", fail)
+    monkeypatch.setattr(cli, "static_kernel", fail)
+    out = tmp_path / "k.json"
+    code, _, err = run(capsys, "kernel", *argv, "--out", str(out))
+    assert code == 3
+    assert "cap" in err
+    assert not out.exists()
+
+
+def test_kernel_cost_cap_admits_its_bound(capsys):
+    side = cli.KERNEL_MAX_SIDE
+    doc = run_json(capsys, "kernel", "--model", f"{side},1,{side}", "--query", "")
+    assert doc["correlation"]["rational"] == "1/1"
+
+
 def test_enumerate_zero_time_model(capsys):
     doc = run_json(capsys, "enumerate", "--model", "2,0,0")
     assert doc["family_count"] == 1
@@ -306,6 +366,45 @@ def test_limit_nonfinite_or_nonpositive_scale_exit_2(capsys, tmp_path, rho):
     assert code == 2
     assert err.startswith("error: --rhos")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("position", range(5))
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_limit_nonfinite_regime_exit_2(capsys, monkeypatch, position, value):
+    def fail(*args, **kwargs):
+        raise AssertionError("limit work started")
+
+    monkeypatch.setattr(cli, "limit_params", fail)
+    fields = ["1", "1", "2", "1", "1"]
+    fields[position] = value
+    code, out, err = run(capsys, "limit", "--regime=" + ",".join(fields))
+    assert code == 2
+    assert err.startswith("error: regime values must be finite")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--offsets", "1"),  # ignored before, since only --rhos reads it
+        ("--offsets", "0:0"),
+        ("--rhos", "20", "--offsets", "1"),
+        ("--rhos", "20", "--offsets", "0:0,1:x"),
+        ("--rhos", "20", "--offsets", "0:0:1"),
+    ],
+    ids=" ".join,
+)
+def test_limit_bad_offsets_exit_2_before_any_work(capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("limit work started")
+
+    for name in ("limit_params", "sine_kernel_static", "particle_hole_duality_residual",
+                 "convergence_probe"):
+        monkeypatch.setattr(cli, name, fail)
+    code, out, err = run(capsys, "limit", "--regime", "1,1,2,1,1", *argv)
+    assert code == 2
+    assert err.startswith("error: --offsets")
+    assert out == ""
 
 
 def test_limit_far_offset_matches_quadrature(capsys):

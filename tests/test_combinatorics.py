@@ -74,9 +74,10 @@ def test_enumerate_order_is_lexicographic():
     assert [f.moves(0) for f in fams] == [(0, 1), (1, 0)]
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    monkeypatch.setenv("HAHN_PATHS_CAP", "2")
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_path_families(ModelParams(2, 1, 2), cap=2)
+        enumerate_path_families(ModelParams(2, 1, 2))
 
 
 def test_cap_env_override(monkeypatch):

@@ -5,13 +5,7 @@ from hahn_paths import (
     Case,
     DegenerateParameterError,
     ModelParams,
-    ParameterRegimeError,
     SignedSqrt,
-    contiguous_relation_residuals,
-    difference_relation_residual,
-    dual_orthogonality_residual,
-    hahn_norm2,
-    hahn_q,
     orthonormal_function,
     slice_params,
     slice_weight,
@@ -25,7 +19,15 @@ from hahn_paths.hahn import (
     _recurrence_coefficients,
     slice_basis,
 )
-from hahn_paths.process import coupling_coefficient_sq
+from oracles import (
+    ParameterRegimeError,
+    contiguous_relation_residuals,
+    coupling_coefficient_sq,
+    difference_relation_residual,
+    dual_orthogonality_residual,
+    hahn_norm2,
+    hahn_q,
+)
 
 
 def test_slice_params_examples():

@@ -13,17 +13,13 @@ from hahn_paths import (
     complementary_kernel,
     correlation,
     extended_kernel,
-    gauge_transform,
-    hahn_q,
     oracle_correlation,
-    oracle_tables,
     static_kernel,
     transfer_matrix,
 )
 from hahn_paths.hahn import slice_basis
 from hahn_paths.kernels import _pair_table, gauged_extended_kernel
-from hahn_paths.process import coupling_coefficient_sq
-from hahn_paths.radicals import sum_signed_sqrts
+from oracles import coupling_coefficient_sq, gauge_transform, hahn_q, oracle_tables
 
 # SHA-256 of the exact correlations of CORRELATION_QUERIES on (20,20,40),
 # computed before the kernel was built from pair tables and recurrence columns.
@@ -126,7 +122,7 @@ def per_term_kernel(model, p, q):
         norms = b_s.norm2(i) * b_t.norm2(i)
         rad = w_pair / (norms * prod_c2) if s >= t else w_pair * prod_c2 / norms
         terms.append(SignedSqrt(coeff, rad))
-    return sum_signed_sqrts(terms)
+    return sum(terms, SignedSqrt.zero())
 
 
 def test_pair_table_entries_match_per_term_sum():

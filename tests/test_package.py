@@ -6,6 +6,7 @@ import pathlib
 import hahn_paths
 
 SRC = pathlib.Path(hahn_paths.__file__).resolve().parent
+ORACLES = pathlib.Path(__file__).resolve().parent / "oracles.py"
 
 
 def test_no_assert_statements_in_sources():
@@ -26,6 +27,29 @@ def test_public_names_resolve_once():
     assert len(set(names)) == len(names)
     missing = [name for name in names if not hasattr(hahn_paths, name)]
     assert missing == []
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Names bound at the top level of a module by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_oracles_live_only_in_the_tests():
+    # A reference implementation has one home, tests/oracles.py, so the
+    # package never ships a second way to compute what it computes.
+    oracle_names = _defined_names(ast.parse(ORACLES.read_text()))
+    assert oracle_names
+    package_names = set(hahn_paths.__all__)
+    for path in SRC.rglob("*.py"):
+        package_names |= _defined_names(ast.parse(path.read_text()))
+    assert sorted(oracle_names & package_names) == []
 
 
 def _cache_decorator_faults(tree: ast.AST) -> list[tuple[int, str]]:

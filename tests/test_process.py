@@ -12,22 +12,19 @@ from hahn_paths import (
     SignedSqrt,
     Trajectory,
     TransitionRowSumError,
-    coupling_coefficients,
     enumerate_path_families,
     sample_trajectory,
     slice_distribution,
     transfer_matrix,
-    transfer_matrix_series,
     transition_probability,
-    transition_probability_determinantal,
 )
-from hahn_paths.hahn import pochhammer, slice_basis
+from hahn_paths.hahn import pochhammer, slice_basis, slice_params
 from hahn_paths.kernels import _pair_table
-from hahn_paths.process import (
-    _normalization,
-    _transition_table,
-    _vandermonde,
+from hahn_paths.process import _normalization, _transition_table, _vandermonde
+from oracles import (
     coupling_coefficient_sq,
+    transfer_matrix_series,
+    transition_probability_determinantal,
 )
 
 # SHA-256 of the move strings of (10,10,20) trajectories for seeds 0..9, built
@@ -43,9 +40,10 @@ def test_coupling_coefficient_formula():
     m = ModelParams(2, 2, 4)
     assert coupling_coefficient_sq(m, 0, 0) == 1
     assert coupling_coefficient_sq(m, 3, 2) == 0  # top index of a shrinking step
-    cc = coupling_coefficients(m, 1)
-    assert all(0 <= v.square() <= 1 for v in cc.values)
-    assert cc.values[0] == 1
+    dim = max(slice_params(m, 1).M, slice_params(m, 2).M) + 1
+    squares = [coupling_coefficient_sq(m, 1, i) for i in range(dim)]
+    assert all(0 <= c2 <= 1 for c2 in squares)
+    assert squares[0] == 1
 
 
 def test_coupling_zero_when_factor_negative():

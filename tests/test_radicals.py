@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hahn_paths import IncompatibleRadicalsError, SignedSqrt
-from hahn_paths.radicals import sqrt_fraction, sum_signed_sqrts
+from hahn_paths.radicals import sqrt_fraction
 
 
 def test_sqrt_fraction_exact():
@@ -52,5 +52,5 @@ def test_negative_radicand_rejected():
 
 def test_sum_helper():
     terms = [SignedSqrt(1, 2), SignedSqrt(2, 2), SignedSqrt(-3, 2)]
-    assert sum_signed_sqrts(terms).is_zero()
-    assert sum_signed_sqrts([]).is_zero()
+    assert sum(terms, SignedSqrt.zero()).is_zero()
+    assert sum([], SignedSqrt.zero()).is_zero()
