@@ -16,6 +16,7 @@ import re
 import sys
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 
 from .bulk import (
     LimitRegime,
@@ -220,7 +221,7 @@ def cmd_kernel(args) -> int:
     if query:
         kmatrix = KernelMatrix.build(model, CorrelationQuery(tuple(query)))
         report["query"] = [{"x": x, "t": t} for x, t in query]
-        report["kernel_matrix"] = [[float(v) for v in row] for row in kmatrix.entries]
+        report["kernel_matrix"] = kmatrix.float_entries()
         if exact:
             report["kernel_matrix_exact"] = [
                 [{"coeff": str(v.coeff), "radicand": str(v.radicand)} for v in row]
@@ -382,19 +383,19 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, as parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="hahn-paths",
         description="Non-intersecting lattice paths in a hexagon: exact laws, kernels, limits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, func, help_text: str, model: bool = False,
-                    mode: bool = False):
+    def add_command(name: str, help_text: str, model: bool = False, mode: bool = False):
         # Abbreviations are off so that a removed flag such as `sample --mode`
         # is an error instead of a prefix of `--model`.
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.set_defaults(func=func)
         if model:
             p.add_argument("--model", help="N,S,T path-model parameters")
             p.add_argument("--hexagon", help="a,b,c hexagon sides (maps to N=a, S=b, T=b+c)")
@@ -403,28 +404,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default stdout)")
         return p
 
-    p = add_command("enumerate", cmd_enumerate,
-                    "exact counts, marginals, oracle correlations", model=True, mode=True)
+    p = add_command("enumerate", "exact counts, marginals, oracle correlations",
+                    model=True, mode=True)
     p.add_argument("--query", help='space-time points "x:t,x:t,..."')
 
-    p = add_command("kernel", cmd_kernel, "kernel values and correlation determinants",
+    p = add_command("kernel", "kernel values and correlation determinants",
                     model=True, mode=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--query", help='space-time points "x:t,x:t,..."')
     p.add_argument("--static-t", type=int, help="emit the static kernel matrix at this time")
 
-    p = add_command("sample", cmd_sample, "draw trajectories and empirical densities",
-                    model=True)
+    p = add_command("sample", "draw trajectories and empirical densities", model=True)
     p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     p.add_argument("--samples", type=int, default=1)
 
-    p = add_command("limit", cmd_limit, "bulk-limit kernel, frozen regions, convergence")
+    p = add_command("limit", "bulk-limit kernel, frozen regions, convergence")
     p.add_argument("--regime", required=True, help='macroscopic "N,S,T,t,x"')
     p.add_argument("--rhos", help='scales "20,40,80" for the convergence table')
     p.add_argument("--offsets", help='offsets "dx:dt,..." (default |dx|<=3, |dt|<=2)')
     p.add_argument("--dmax", type=int, default=5, help="sine-kernel table half-width")
 
-    p = add_command("render", cmd_render, "SVG picture of one sampled trajectory")
+    p = add_command("render", "SVG picture of one sampled trajectory")
     p.add_argument("--trajectory", required=True, help="trajectory file from `sample`")
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--style", choices=STYLES, default="rhombi")
@@ -432,10 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at call time, so the handler is the module's current cmd_<name>.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except HahnPathsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

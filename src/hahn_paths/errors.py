@@ -35,6 +35,10 @@ class DegenerateParameterError(HahnPathsError):
     """A zero denominator Pochhammer was reached with a nonzero numerator."""
 
 
+class ColumnScaleError(HahnPathsError):
+    """A recurrence value is not an integer over its column's common denominator."""
+
+
 class BoundaryRegimeError(HahnPathsError):
     """The macroscopic regime point sits on the boundary of its admissible box."""
 
@@ -45,6 +49,10 @@ class PoleOnContourError(HahnPathsError):
 
 class PrecisionLossError(HahnPathsError):
     """A closed-form float sum would cancel more digits than its error bound allows."""
+
+
+class FloatRangeError(HahnPathsError):
+    """An exact value is above the binary64 range, so it has no float form."""
 
 
 class IncompatibleRadicalsError(HahnPathsError):

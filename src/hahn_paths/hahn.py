@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .combinatorics import ModelParams
-from .errors import DegenerateParameterError
+from .errors import ColumnScaleError, DegenerateParameterError
 from .radicals import SignedSqrt
 
 
@@ -164,12 +164,23 @@ def _recurrence_coefficients(n: int, alpha: int, beta: int, M: int) -> tuple[int
     return a_num * c_den + c_num * a_den, a_den * c_den, c_num * a_den, a_num * c_den
 
 
+def _scaled_numerator(value: Fraction, den: int) -> int:
+    """value * den, for a den that value's denominator divides."""
+    scale, rest = divmod(den, value.denominator)
+    if rest:
+        raise ColumnScaleError(f"{value} times {den} is not an integer")
+    return value.numerator * scale
+
+
 class _SliceBasis:
     """Cached per-slice data: weights, polynomial values, norms.
 
     The values Q_0(x), Q_1(x), ... at one x form a column, extended on
     demand with the three-term recurrence; the tests check it against the
-    terminating series.
+    terminating series.  A column is stored as integers over one
+    denominator, (D, [D Q_0(x'), ..., D Q_j(x')]) with D the least common
+    denominator, so that a kernel entry sums integer products; an extension
+    rescales the stored integers to the new least common denominator.
     Norms are taken w.r.t. the factorial-form weight, obtained from the
     closed form through the constant Pochhammer/factorial ratio lambda, read
     at the left end of the support.
@@ -181,35 +192,48 @@ class _SliceBasis:
         p = self.params
         self.support = range(p.support_lo, p.support_hi + 1)
         self.weights = {x: slice_weight(model, t, x) for x in self.support}
-        self._columns: dict[int, list[Fraction]] = {}
+        self._columns: dict[int, tuple[int, list[int]]] = {}
         self._norm_memo: dict[int, Fraction] = {}
         self.lam = _pochhammer_weight(0, p.alpha, p.beta, p.M) / self.weights[p.shift]
 
-    def column(self, x: int, k: int) -> list[Fraction]:
-        """Q_0(x'), ..., Q_j(x') for some j >= k, at model coordinate x."""
+    def scaled_column(self, x: int, k: int) -> tuple[int, list[int]]:
+        """(D, [D Q_0(x'), ..., D Q_j(x')]) for some j >= k, at model coordinate x.
+
+        D is the least common denominator of the values.
+        """
         p = self.params
         if not 0 <= k <= p.M:
             raise ValueError(f"need 0 <= k <= M, got k={k}, M={p.M}")
-        col = self._columns.get(x)
-        if col is None:
-            col = self._columns[x] = [Fraction(1)]
+        den, ints = self._columns.get(x, (1, [1]))
+        if k < len(ints):
+            return den, ints
         xp = x - p.shift
-        for n in range(len(col) - 1, k):
+        cur = Fraction(ints[-1], den)
+        prev = Fraction(ints[-2], den) if len(ints) > 1 else _ZERO
+        new = []
+        for n in range(len(ints) - 1, k):
             b, e, c, d = _recurrence_coefficients(n, p.alpha, p.beta, p.M)
-            cur = col[n]
-            prev = col[n - 1] if n else _ZERO
-            col.append(
-                Fraction(
-                    (b - e * xp) * cur.numerator * prev.denominator
-                    - c * prev.numerator * cur.denominator,
-                    d * cur.denominator * prev.denominator,
-                )
+            prev, cur = cur, Fraction(
+                (b - e * xp) * cur.numerator * prev.denominator
+                - c * prev.numerator * cur.denominator,
+                d * cur.denominator * prev.denominator,
             )
-        return col
+            new.append(cur)
+        lcd = lcm(den, *(v.denominator for v in new))
+        scale = lcd // den
+        ints = [v * scale for v in ints] + [_scaled_numerator(v, lcd) for v in new]
+        self._columns[x] = lcd, ints
+        return lcd, ints
+
+    def column(self, x: int, k: int) -> list[Fraction]:
+        """Q_0(x'), ..., Q_j(x') for some j >= k, at model coordinate x."""
+        den, ints = self.scaled_column(x, k)
+        return [Fraction(v, den) for v in ints]
 
     def q(self, k: int, x: int) -> Fraction:
         """Q_k at model coordinate x (shift applied), as a polynomial value."""
-        return self.column(x, k)[k]
+        den, ints = self.scaled_column(x, k)
+        return Fraction(ints[k], den)
 
     def norm2(self, k: int) -> Fraction:
         """Squared norm of Q_k w.r.t. the factorial-form weight.
@@ -230,6 +254,14 @@ class _SliceBasis:
             value = _hahn_norm2_signed(k, p.alpha, p.beta, p.M) / self.lam
         memo[k] = value
         return value
+
+    def norm_step(self, k: int) -> Fraction:
+        """n_k / n_(k-1), from the closed-form ratio; across a zero factor, from the norms."""
+        p = self.params
+        num, den = _norm_ratio(k, p.alpha, p.beta, p.M)
+        if num and den:
+            return Fraction(num, den)
+        return self.norm2(k) / self.norm2(k - 1)
 
     def f(self, n: int, x: int) -> SignedSqrt:
         if x not in self.support:

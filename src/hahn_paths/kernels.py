@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import lcm
 
 from .combinatorics import ModelParams, det_bareiss
-from .errors import IncompatibleRadicalsError
+from .errors import FloatRangeError, IncompatibleRadicalsError
 from .hahn import pochhammer, slice_basis
 from .radicals import SignedSqrt, sqrt_fraction
 
@@ -64,14 +64,15 @@ def _gauge_factor_sq(model: ModelParams, t: int) -> Fraction:
 
 
 @lru_cache(maxsize=2048)
-def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, tuple[Fraction, ...]]:
-    """What every kernel entry between times s and t shares: (lo, R, ratios).
+def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, int, tuple[int, ...]]:
+    """What every kernel entry between times s and t shares: (lo, R, L, ratios).
 
     Term i of K((x, s); (y, t)) is Q_i(x) Q_i(y) sqrt(w_x w_y R_i), with
     R_i = 1 / (n_i^s n_i^t prod c_i^2) for i < N when s >= t, and
     R_i = prod c_i^2 / (n_i^s n_i^t) for N <= i <= min(M_s, M_t) when s < t,
     the product over the steps between the two times.  R = R_lo, and
-    ratios[i - lo] = +-sqrt(R_i / R) is rational, negative when s < t.
+    ratios[i - lo] / L = +-sqrt(R_i / R) is rational, negative when s < t:
+    the ratios are integers over their least common denominator L.
     """
     b_s = slice_basis(model, s)
     b_t = slice_basis(model, t)
@@ -79,33 +80,49 @@ def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, tupl
         indices, sign = range(model.N), 1
     else:
         indices, sign = range(model.N, min(b_s.params.M, b_t.params.M) + 1), -1
-    # prod_{j=a}^{b-1} c_i(j)^2 = (a+N-i)_L (T+N-b-i)_L / ((a+N)_L (T+N-b)_L), L = b-a;
+    lo = indices.start
+    if not indices:
+        return lo, Fraction(0), 1, ()
+    # prod_{j=a}^{b-1} c_i(j)^2 = (a+N-i)_d (T+N-b-i)_d / ((a+N)_d (T+N-b)_d), d = b-a;
     # every factor is positive: i < N, or i <= M_a <= a+N-1 and i <= M_b <= T-b+N-1.
     N, T, a, b = model.N, model.T, min(s, t), max(s, t)
-    den = pochhammer(a + N, b - a) * pochhammer(T + N - b, b - a)
-    radicands = []
-    for i in indices:
-        prod_c2 = Fraction(pochhammer(a + N - i, b - a) * pochhammer(T + N - b - i, b - a), den)
-        rad = 1 / (b_s.norm2(i) * b_t.norm2(i))
-        radicands.append(rad / prod_c2 if s >= t else rad * prod_c2)
-    if not radicands:
-        return indices.start, Fraction(0), ()
-    ratios = []
-    for i, rad in zip(indices, radicands):
-        ratio = sqrt_fraction(rad / radicands[0])
-        if ratio is None:
+    d = b - a
+    prod_c2 = Fraction(
+        pochhammer(a + N - lo, d) * pochhammer(T + N - b - lo, d),
+        pochhammer(a + N, d) * pochhammer(T + N - b, d),
+    )
+    radicand = 1 / (b_s.norm2(lo) * b_t.norm2(lo))
+    radicand = radicand / prod_c2 if s >= t else radicand * prod_c2
+    # R_i / R_(i-1) from small integers: the closed-form norm ratios, and
+    # prod c_i^2 / prod c_(i-1)^2 = u v / ((u + d) (v + d)), u = a+N-i, v = T+N-b-i.
+    ratio = Fraction(1)
+    ratios = [ratio]
+    for i in indices[1:]:
+        u, v = a + N - i, T + N - b - i
+        c2_step = Fraction(u * v, (u + d) * (v + d))
+        step = sqrt_fraction(
+            (c2_step if s < t else 1 / c2_step) / (b_s.norm_step(i) * b_t.norm_step(i))
+        )
+        if step is None:
             raise IncompatibleRadicalsError(
-                f"kernel terms {indices.start} and {i} between times {s} and {t}"
+                f"kernel terms {lo} and {i} between times {s} and {t}"
                 " have incompatible radicands"
             )
-        ratios.append(sign * ratio)
-    return indices.start, radicands[0], tuple(ratios)
+        ratio *= step
+        ratios.append(ratio)
+    lcd = lcm(*(r.denominator for r in ratios))
+    scaled = tuple(sign * r.numerator * (lcd // r.denominator) for r in ratios)
+    return lo, radicand, lcd, scaled
 
 
 def extended_kernel(
     model: ModelParams, p: tuple[int, int], q: tuple[int, int]
 ) -> SignedSqrt:
-    """Space-time kernel entry K(p; q) with p = (x, s), q = (y, t), exactly."""
+    """Space-time kernel entry K(p; q) with p = (x, s), q = (y, t), exactly.
+
+    The coefficient is one integer dot product of the two scaled columns
+    against the scaled ratios, divided once by the three denominators.
+    """
     x, s = p
     y, t = q
     for u in (s, t):
@@ -115,24 +132,31 @@ def extended_kernel(
     b_t = slice_basis(model, t)
     if x not in b_s.support or y not in b_t.support:
         return SignedSqrt.zero()
-    lo, radicand, ratios = _pair_table(model, s, t)
+    lo, radicand, lcd, ratios = _pair_table(model, s, t)
     if not ratios:
         return SignedSqrt.zero()
     hi = lo + len(ratios) - 1
-    coeff = 0
+    den_x, col_x = b_s.scaled_column(x, hi)
+    den_y, col_y = b_t.scaled_column(y, hi)
+    acc = 0
     ref = None
-    for qx, qy, ratio in zip(b_s.column(x, hi)[lo:], b_t.column(y, hi)[lo:], ratios):
+    for qx, qy, ratio in zip(col_x[lo:], col_y[lo:], ratios):
         term = qx * qy
         if term:
             # Keep the radicand a term-by-term SignedSqrt sum ends with, that
             # of the last term added to a zero partial sum: `kernel` prints it.
-            if not coeff:
+            # The scale den_x den_y lcd is positive, so acc is zero exactly
+            # when the rational partial sum is.
+            if not acc:
                 ref = ratio
-            coeff += term * ratio
-    if not coeff:
+            acc += term * ratio
+    if not acc:
         return SignedSqrt.zero()
     w_pair = b_s.weights[x] * b_t.weights[y]
-    return SignedSqrt(coeff / abs(ref), w_pair * radicand * ref * ref)
+    return SignedSqrt(
+        Fraction(acc, den_x * den_y * abs(ref)),
+        w_pair * radicand * Fraction(ref * ref, lcd * lcd),
+    )
 
 
 def _gauge(
@@ -244,9 +268,20 @@ class KernelMatrix:
             ]
         )
 
+    def float_entries(self) -> list[list[float]]:
+        """The entries rounded to binary64; one above its range raises FloatRangeError."""
+        matrix = []
+        for p, row in zip(self.points, self.entries):
+            matrix.append([])
+            for q, value in zip(self.points, row):
+                try:
+                    matrix[-1].append(float(value))
+                except FloatRangeError as exc:
+                    raise FloatRangeError(f"kernel entry K({p}; {q}): {exc}") from None
+        return matrix
+
     def determinant_report(self) -> DetReport:
-        matrix = [[float(v) for v in row] for row in self.entries]
-        return _det_float_report(matrix)
+        return _det_float_report(self.float_entries())
 
 
 def correlation(

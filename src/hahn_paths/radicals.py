@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import IncompatibleRadicalsError
+from .errors import FloatRangeError, IncompatibleRadicalsError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -161,7 +161,22 @@ class SignedSqrt:
         return not self.is_zero()
 
     def __float__(self) -> float:
-        return self.sign * math.sqrt(float(self.square()))
+        # Scale the exact square by an even power of two into [1/2, 4), so that
+        # a square outside the float range still gives its root when that is in
+        # range; the power-of-two steps are exact, so in range nothing changes.
+        square = self.square()
+        num, den = square.numerator, square.denominator
+        if not num:
+            return 0.0
+        shift = num.bit_length() - den.bit_length()
+        shift -= shift % 2
+        scaled = num / (den << shift) if shift >= 0 else (num << -shift) / den
+        try:
+            return self.sign * math.ldexp(math.sqrt(scaled), shift // 2)
+        except OverflowError:
+            raise FloatRangeError(
+                f"|value| is about 2^{shift // 2}, above the float range"
+            ) from None
 
     def __repr__(self) -> str:
         return f"SignedSqrt({self.coeff!r}, {self.radicand!r})"

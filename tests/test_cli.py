@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -227,6 +228,32 @@ def test_kernel_cost_cap_admits_its_bound(capsys):
     assert doc["correlation"]["rational"] == "1/1"
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_kernel_entry_whose_square_is_above_the_float_range(capsys, mode):
+    # K((260, 520); (0, 0)) is about 6e154, so its square has no float form.
+    model, p, q = hahn_paths.ModelParams(260, 260, 520), (260, 520), (0, 0)
+    doc = run_json(capsys, "kernel", "--model", "260,260,520", "--query", "260:520,0:0",
+                   "--mode", mode)
+    (a, b), (c, d) = doc["kernel_matrix"]
+    assert (a, c, d) == (1.0, 0.0, 1.0)
+    square = kernels.extended_kernel(model, p, q).square()
+    assert b > 1e154 and abs(Fraction(b) ** 2 / square - 1) < 1e-15
+    # Both points are corners every path family passes through.
+    correlation = doc["correlation"]["rational"] if mode == "exact" else doc["correlation"]
+    assert correlation in ("1/1", 1.0)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_kernel_entry_above_the_float_range_exit_4(capsys, tmp_path, mode):
+    out = tmp_path / "k.json"
+    code, _, err = run(capsys, "kernel", "--model", "600,600,1200", "--query",
+                       "600:1200,0:0", "--mode", mode, "--out", str(out))
+    assert code == 4
+    assert err.startswith("error: kernel entry K((600, 1200); (0, 0)): ")
+    assert "float range" in err
+    assert not out.exists()
+
+
 def test_enumerate_zero_time_model(capsys):
     doc = run_json(capsys, "enumerate", "--model", "2,0,0")
     assert doc["family_count"] == 1
@@ -355,6 +382,13 @@ def test_package_errors_map_to_exit_codes(capsys, monkeypatch, error):
     code, _, err = run(capsys, "enumerate", "--model", "1,1,2")
     assert code == EXIT_CODES.get(error, 4)
     assert err == "error: boom\n"
+
+
+def test_parser_is_built_once_per_process(capsys):
+    run_json(capsys, "enumerate", "--model", "2,1,2")
+    parser = cli.build_parser()
+    run_json(capsys, "enumerate", "--model", "2,1,2")
+    assert cli.build_parser() is parser
 
 
 @pytest.mark.parametrize("rho", ["inf", "-inf", "nan", "0", "-5"])

@@ -1,8 +1,12 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from conftest import small_sweep, sweep_models
 from hahn_paths import (
     Case,
+    ColumnScaleError,
     DegenerateParameterError,
     ModelParams,
     SignedSqrt,
@@ -17,6 +21,7 @@ from hahn_paths.hahn import (
     _hahn_norm2_signed,
     _pochhammer_weight,
     _recurrence_coefficients,
+    _scaled_numerator,
     slice_basis,
 )
 from oracles import (
@@ -139,6 +144,31 @@ def test_recurrence_columns_match_series():
         assert len(column) == p.M + 1
         for k, value in enumerate(column):
             assert value == hahn_q(k, x - p.shift, p.alpha, p.beta, p.M), (model, t, x, k)
+
+
+def test_stored_columns_are_integers_over_their_least_common_denominator():
+    # Each column is extended in two stages, so the second one rescales the
+    # stored integers; after each, gcd(D, D Q_0, ..., D Q_j) = 1 makes D the
+    # least common denominator, and the values equal the terminating series.
+    cases = [(m, t) for m in sweep_models(4, 8) for t in range(m.T + 1)]
+    cases += [(ModelParams(20, 20, 40), t) for t in (0, 13, 20, 37)]
+    for model, t in cases:
+        basis = _SliceBasis(model, t)
+        p = basis.params
+        for x in basis.support:
+            for k in (p.M // 2, p.M):
+                den, ints = basis.scaled_column(x, k)
+                assert len(ints) == k + 1 and den > 0, (model, t, x, k)
+                assert math.gcd(den, *ints) == 1, (model, t, x, k)
+            if model.T <= 8:
+                for k, value in enumerate(basis.column(x, p.M)):
+                    assert value == hahn_q(k, x - p.shift, p.alpha, p.beta, p.M)
+
+
+def test_column_scale_must_be_integral():
+    assert _scaled_numerator(Fraction(-5, 6), 12) == -10
+    with pytest.raises(ColumnScaleError):
+        _scaled_numerator(Fraction(1, 3), 2)
 
 
 def test_recurrence_degenerate_step_raises():

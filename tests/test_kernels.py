@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -146,13 +147,30 @@ def test_pair_table_entries_match_per_term_sum():
         assert (got.coeff, got.radicand) == (want.coeff, want.radicand), (p, q)
 
 
+def test_pair_table_entries_match_per_term_sum_at_limit_probe_size():
+    # `limit --rhos 20,40,80` evaluates (80,80,160) near its centre at time
+    # offsets |dt| <= 2; there the columns have up to 160 entries and their
+    # common denominators grow large.
+    model = ModelParams(80, 80, 160)
+    rng = random.Random(11)
+    entries = []
+    for later_first in (True, False) * 10:
+        s, t = sorted(rng.sample(range(78, 83), 2), reverse=later_first)
+        entries.append(((80 + rng.randrange(-3, 4), s), (80 + rng.randrange(-3, 4), t)))
+    for p, q in entries:
+        got, want = extended_kernel(model, p, q), per_term_kernel(model, p, q)
+        assert not got.is_zero(), (p, q)
+        assert (got.coeff, got.radicand) == (want.coeff, want.radicand), (p, q)
+
+
 @pytest.mark.parametrize(
     "model", [ModelParams(3, 2, 5), ModelParams(4, 6, 8), ModelParams(20, 20, 40)], ids=str
 )
 def test_pair_table_products_equal_per_step_products(model):
     # The table telescopes prod_j c_i(j)^2 into one ratio of Pochhammer
     # products; every (pair, index) radicand R_i = R ratio_i^2 must equal the
-    # one built from the per-step (clamped) coupling coefficients.
+    # one built from the per-step (clamped) coupling coefficients, with
+    # ratio_i = scaled_i / L.
     for s in range(model.T + 1):
         for t in range(model.T + 1):
             b_s, b_t = slice_basis(model, s), slice_basis(model, t)
@@ -161,9 +179,9 @@ def test_pair_table_products_equal_per_step_products(model):
             else:
                 indices = range(model.N, min(b_s.params.M, b_t.params.M) + 1)
                 steps = range(s, t)
-            lo, radicand, ratios = _pair_table(model, s, t)
-            assert (lo, len(ratios)) == (indices.start, len(indices)), (s, t)
-            for i, ratio in zip(indices, ratios):
+            lo, radicand, lcd, scaled = _pair_table(model, s, t)
+            assert (lo, len(scaled)) == (indices.start, len(indices)), (s, t)
+            for i, ratio in zip(indices, (Fraction(r, lcd) for r in scaled)):
                 prod_c2 = Fraction(1)
                 for j in steps:
                     prod_c2 *= coupling_coefficient_sq(model, j, i)

@@ -1,8 +1,10 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from hahn_paths import IncompatibleRadicalsError, SignedSqrt
+from hahn_paths import FloatRangeError, IncompatibleRadicalsError, SignedSqrt
 from hahn_paths.radicals import sqrt_fraction
 
 
@@ -54,3 +56,19 @@ def test_sum_helper():
     terms = [SignedSqrt(1, 2), SignedSqrt(2, 2), SignedSqrt(-3, 2)]
     assert sum(terms, SignedSqrt.zero()).is_zero()
     assert sum([], SignedSqrt.zero()).is_zero()
+
+
+def test_float_of_a_square_outside_the_float_range():
+    # Only the root has to be a float: the square is scaled by 4^k first.
+    assert float(SignedSqrt(-1, 2**2000)) == -(2.0**1000)
+    assert float(SignedSqrt(1, Fraction(3, 2**1800))) == math.ldexp(math.sqrt(3), -900)
+    with pytest.raises(FloatRangeError):
+        float(SignedSqrt(1, 2**2100))
+    # Where the square is a normal float, the value is sqrt(float(square)) bit for bit.
+    rng = random.Random(5)
+    for _ in range(2000):
+        value = SignedSqrt(
+            Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**12)),
+            Fraction(rng.randrange(1, 10**40), rng.randrange(1, 10**40)),
+        )
+        assert float(value) == value.sign * math.sqrt(float(value.square())), value
