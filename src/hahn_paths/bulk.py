@@ -17,7 +17,7 @@ from math import comb, cos, pi, sin
 
 from .combinatorics import ModelParams
 from .errors import BoundaryRegimeError, PoleOnContourError, PrecisionLossError
-from .hahn import slice_basis
+from .hahn import slice_params
 from .kernels import extended_kernel
 
 class Side(Enum):
@@ -119,9 +119,9 @@ def sine_kernel_static(phi: float, d: int) -> float:
 
 def arc_monomial(phi: float, m: int, side: Side) -> float:
     """Closed-form arc integral of w^(m-1): the building block of the kernel."""
-    if side is Side.RIGHT:
-        return phi / pi if m == 0 else sin(m * phi) / (pi * m)
-    return phi / pi - 1.0 if m == 0 else sin(m * phi) / (pi * m)
+    if side is Side.LEFT and m == 0:
+        return phi / pi - 1.0
+    return sine_kernel_static(phi, m)
 
 
 # An arc sum is refused when its error bound, 2^-52 times the sum of its term
@@ -459,10 +459,10 @@ def convergence_probe(
             raise ValueError(f"offsets leave the time range at rho={rho}")
 
         def feasible(x0: int) -> bool:
-            base_support = slice_basis(model, t_base).support
+            base_support = slice_params(model, t_base).support
             if any(x0 + dx not in base_support for dx, _ in offsets):
                 return False
-            return all(x0 in slice_basis(model, t_base + dt).support for dt in dts)
+            return all(x0 in slice_params(model, t_base + dt).support for dt in dts)
 
         x_base = None
         for candidate in (x_round, x_round - 1, x_round + 1):

@@ -34,7 +34,7 @@ from .combinatorics import (
     share_through,
 )
 from .errors import HahnPathsError, PoleOnContourError, ResourceLimitError
-from .hahn import slice_basis
+from .hahn import slice_params
 from .kernels import CorrelationQuery, KernelMatrix, static_kernel
 from .process import sample_trajectory
 from .render import STYLES, render_svg
@@ -50,11 +50,16 @@ EXIT_INPUT = 2
 LIMIT_MAX_DMAX = 10_000
 LIMIT_MAX_SIDE = 2200
 
-# Cost cap of `kernel`: an exact query of four points at four times near the
-# centre of (n, n, 2n) takes about 25 s at a model side max(N, T) of 1600 and
-# 33 s at 1800 (2-vCPU VM, CPython 3.11), and its largest printed integers have
-# 2364 and 2660 digits; Python refuses to print one of more than 4300.
+# Cost caps of `kernel`.  The side cap max(N, T) follows the printed integers:
+# an exact query of four points at four times near the centre of (n, n, 2n)
+# prints integers of 2364 digits at side 1600 and 2660 at 1800, and Python
+# refuses to print one of more than 4300.  That query takes 4.6 s on
+# (800, 800, 1600) and 13.6 s on (1600, 800, 1600).  A --static-t matrix has
+# support^2 entries, each about 1.7 us times N + T^2/10^4 (an N-term dot
+# product, then rationals whose size grows with T); the work cap puts it near
+# 30 s (2-vCPU VM, CPython 3.11).
 KERNEL_MAX_SIDE = 1600
+KERNEL_MAX_STATIC_WORK = 16_000_000
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -206,18 +211,25 @@ def cmd_kernel(args) -> int:
     csv_lines: list[str] = []
     if args.static_t is not None:
         t = args.static_t
-        support = list(slice_basis(model, t).support)
+        support = list(slice_params(model, t).support)
+        work = len(support) ** 2 * (model.N + model.T**2 / 10_000)
+        if work > KERNEL_MAX_STATIC_WORK:
+            raise ResourceLimitError(
+                f"--static-t work support^2 (N + T^2/10^4) = {work:.4g}"
+                f" exceeds the cap {KERNEL_MAX_STATIC_WORK:.4g}"
+            )
         matrix = [[static_kernel(model, t, x, y) for y in support] for x in support]
+        floats = [[float(v) for v in row] for row in matrix]
         report["static_t"] = t
         report["static_support"] = support
-        report["static_kernel"] = [[float(v) for v in row] for row in matrix]
+        report["static_kernel"] = floats
         report["static_trace"] = _number(
             sum((matrix[i][i].as_rational() for i in range(len(support))), Fraction(0)),
             exact,
         )
         csv_lines.append("x\\y," + ",".join(str(y) for y in support))
-        for x, row in zip(support, matrix):
-            csv_lines.append(f"{x}," + ",".join(repr(float(v)) for v in row))
+        for x, row in zip(support, floats):
+            csv_lines.append(f"{x}," + ",".join(map(repr, row)))
     if query:
         kmatrix = KernelMatrix.build(model, CorrelationQuery(tuple(query)))
         report["query"] = [{"x": x, "t": t} for x, t in query]

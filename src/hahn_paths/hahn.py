@@ -1,10 +1,9 @@
 """Hahn weights, polynomials, norms, and the per-time parameterization.
 
 Each time slice t of the path process carries a discrete orthogonal
-polynomial system on its support.  Four parameter regimes (cases I-IV)
-cover the growing / steady / shrinking phases of the support; on boundary
-times the admissible parameterizations coincide and the lower-numbered
-case is reported.
+polynomial system on its support.  Its Hahn parameters (alpha, beta, M)
+and shift follow from one closed form in t, through the support's left
+end max(0, t+S-T) and max(t, S).
 
 All evaluation is exact rational arithmetic.  The weight is kept in the
 manifestly positive factorial form; the Pochhammer form (with large
@@ -15,7 +14,6 @@ its constant sign tracked explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -28,19 +26,10 @@ from .radicals import SignedSqrt
 _ZERO = Fraction(0)
 
 
-class Case(Enum):
-    I = 1
-    II = 2
-    III = 3
-    IV = 4
-
-
 @dataclass(frozen=True)
 class SliceParams:
-    """Hahn data of one time slice: case tag, (alpha, beta, M), shift, support."""
+    """Hahn data of one time slice: (alpha, beta, M), shift, support."""
 
-    t: int
-    case: Case
     alpha: int
     beta: int
     M: int
@@ -54,6 +43,10 @@ class SliceParams:
     def support_hi(self) -> int:
         return self.shift + self.M
 
+    @property
+    def support(self) -> range:
+        return range(self.shift, self.shift + self.M + 1)
+
 
 def pochhammer(a, n: int):
     """Rising factorial a (a+1) ... (a+n-1)."""
@@ -63,42 +56,14 @@ def pochhammer(a, n: int):
     return result
 
 
-def _case_params(model: ModelParams, t: int, case: Case) -> tuple[int, int, int, int]:
-    N, S, T = model.N, model.S, model.T
-    if case is Case.I:
-        return (t + N - 1, -S - N, S - T - N, 0)
-    if case is Case.II:
-        return (S + N - 1, -t - N, t - N - T, 0)
-    if case is Case.III:
-        return (T + N - S - 1, -T + t - N, -t - N, t + S - T)
-    return (T + N - t - 1, -T - N + S, -S - N, t + S - T)
-
-
-def _admissible_cases(model: ModelParams, t: int) -> list[Case]:
-    S, T = model.S, model.T
-    cases = []
-    if t <= S and t <= T - S:
-        cases.append(Case.I)
-    if S <= t <= T - S:
-        cases.append(Case.II)
-    if T - S <= t <= S:
-        cases.append(Case.III)
-    if t >= S and t >= T - S:
-        cases.append(Case.IV)
-    return cases
-
-
 def slice_params(model: ModelParams, t: int) -> SliceParams:
-    """Case tag and Hahn parameters of the time-t slice.
-
-    On boundary times several cases apply; their parameter tuples agree and
-    the lower-numbered case is reported.
-    """
-    if not 0 <= t <= model.T:
-        raise ValueError(f"t={t} outside 0..{model.T}")
-    case = _admissible_cases(model, t)[0]
-    M, alpha, beta, shift = _case_params(model, t, case)
-    return SliceParams(t, case, alpha, beta, M, shift)
+    """Hahn parameters of the time-t slice, on the support max(0, t+S-T)..min(t, S)+N-1."""
+    N, S, T = model.N, model.S, model.T
+    if not 0 <= t <= T:
+        raise ValueError(f"t={t} outside 0..{T}")
+    lo = max(0, t + S - T)
+    top = max(t, S)
+    return SliceParams(lo - top - N, top - T - N - lo, min(t, S) + N - 1 - lo, lo)
 
 
 def slice_weight(model: ModelParams, t: int, x: int) -> Fraction:
@@ -187,10 +152,9 @@ class _SliceBasis:
     """
 
     def __init__(self, model: ModelParams, t: int):
-        self.model = model
         self.params = slice_params(model, t)
         p = self.params
-        self.support = range(p.support_lo, p.support_hi + 1)
+        self.support = p.support
         self.weights = {x: slice_weight(model, t, x) for x in self.support}
         self._columns: dict[int, tuple[int, list[int]]] = {}
         self._norm_memo: dict[int, Fraction] = {}

@@ -53,16 +53,6 @@ def complementary_kernel(model: ModelParams, t: int, x: int, y: int) -> SignedSq
     return value
 
 
-def _gauge_factor_sq(model: ModelParams, t: int) -> Fraction:
-    """Squared diagonal gauge rationalizing kernel entries across time slices.
-
-    The norm recursion n_i^{t+1} = n_i^t c_i(t)^2 kappa_t (rational square)
-    has an i-independent core kappa_t; since c_0 = 1 identically the
-    accumulated product of cores telescopes to the 0-th norm itself.
-    """
-    return slice_basis(model, t).norm2(0)
-
-
 @lru_cache(maxsize=2048)
 def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, int, tuple[int, ...]]:
     """What every kernel entry between times s and t shares: (lo, R, L, ratios).
@@ -125,9 +115,6 @@ def extended_kernel(
     """
     x, s = p
     y, t = q
-    for u in (s, t):
-        if not 0 <= u <= model.T:
-            raise ValueError(f"time {u} outside 0..{model.T}")
     b_s = slice_basis(model, s)
     b_t = slice_basis(model, t)
     if x not in b_s.support or y not in b_t.support:
@@ -167,25 +154,19 @@ def _gauge(
         return Fraction(0)
     x, s = p
     y, t = q
-    scale = (
-        slice_basis(model, t).weights[y]
-        / slice_basis(model, s).weights[x]
-        * _gauge_factor_sq(model, t)
-        / _gauge_factor_sq(model, s)
-    )
+    b_s = slice_basis(model, s)
+    b_t = slice_basis(model, t)
+    # The squared gauge factor of a slice is its 0-th norm: the norm recursion
+    # n_i^{t+1} = n_i^t c_i(t)^2 kappa_t (rational square) has an i-independent
+    # core kappa_t, and since c_0 = 1 identically the accumulated product of
+    # cores telescopes to the 0-th norm itself.
+    scale = b_t.weights[y] / b_s.weights[x] * b_t.norm2(0) / b_s.norm2(0)
     root = sqrt_fraction(value.radicand * scale)
     if root is None:
         raise IncompatibleRadicalsError(
             f"gauged kernel entry K({p}; {q}) did not rationalize"
         )
     return value.coeff * root
-
-
-def gauged_extended_kernel(
-    model: ModelParams, p: tuple[int, int], q: tuple[int, int]
-) -> Fraction:
-    """The kernel entry in the rationalizing gauge (same correlation determinants)."""
-    return _gauge(model, p, q, extended_kernel(model, p, q))
 
 
 def _det_rational(matrix: list[list[Fraction]]) -> Fraction:
@@ -290,9 +271,6 @@ def correlation(
     """Exact probability that the process occupies every queried (x, t) point."""
     if not isinstance(query, CorrelationQuery):
         query = CorrelationQuery(tuple(query))
-    for x, t in query.points:
-        if not 0 <= t <= model.T:
-            raise ValueError(f"query time {t} outside 0..{model.T}")
     if len(query) == 0:
         return Fraction(1)
     return KernelMatrix.build(model, query).determinant()

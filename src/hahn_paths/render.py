@@ -63,7 +63,7 @@ def trajectory_lozenges(traj: Trajectory) -> dict[str, list[list[tuple[float, fl
     for t in range(model.T + 1):
         column = slice_params(model, t)
         occupied = set(traj.positions[t])
-        for y in range(column.support_lo, column.support_hi + 1):
+        for y in column.support:
             if y in occupied:
                 continue
             quads["gap"].append(

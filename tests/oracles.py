@@ -3,7 +3,8 @@
 Each function here computes a quantity a second way, independently of the
 path the library takes: the terminating Hahn series and the closed-form
 norms against the recurrence columns and chained norms, the classical
-identities of the slice polynomials, the determinantal transition law and
+identities of the slice polynomials, the four-case table of slice parameters
+against ``slice_params``'s closed form, the determinantal transition law and
 the coupled transfer series, the limiting difference operator and the
 tangency of the inscribed ellipse, a gauge conjugation of kernel matrices,
 occupation tables from one enumeration pass, and quadrature of the arc
@@ -18,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
+from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import cos, pi
@@ -232,6 +234,47 @@ def hahn_norm2(k: int, alpha: int, beta: int, M: int) -> Fraction:
     if result <= 0:
         raise ParameterRegimeError(f"non-positive squared norm {result}")
     return result
+
+
+class Case(Enum):
+    """The growing / steady / shrinking phases of a slice's support."""
+
+    I = 1
+    II = 2
+    III = 3
+    IV = 4
+
+
+def case_params(model: ModelParams, t: int, case: Case) -> tuple[int, int, int, int]:
+    """(M, alpha, beta, shift) of the time-t slice as parameterized in one case."""
+    N, S, T = model.N, model.S, model.T
+    if case is Case.I:
+        return (t + N - 1, -S - N, S - T - N, 0)
+    if case is Case.II:
+        return (S + N - 1, -t - N, t - N - T, 0)
+    if case is Case.III:
+        return (T + N - S - 1, -T + t - N, -t - N, t + S - T)
+    return (T + N - t - 1, -T - N + S, -S - N, t + S - T)
+
+
+def admissible_cases(model: ModelParams, t: int) -> list[Case]:
+    """The cases whose time range holds t, lowest first; on boundary times several."""
+    S, T = model.S, model.T
+    cases = []
+    if t <= S and t <= T - S:
+        cases.append(Case.I)
+    if S <= t <= T - S:
+        cases.append(Case.II)
+    if T - S <= t <= S:
+        cases.append(Case.III)
+    if t >= S and t >= T - S:
+        cases.append(Case.IV)
+    return cases
+
+
+def param_tuple(params) -> tuple[int, int, int, int]:
+    """(M, alpha, beta, shift) of a SliceParams, in the order of ``case_params``."""
+    return (params.M, params.alpha, params.beta, params.shift)
 
 
 def contiguous_relation_residuals(

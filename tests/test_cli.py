@@ -92,10 +92,19 @@ def test_enumerate_query_enumerates_once(capsys, monkeypatch):
     assert doc["oracle_correlation"]["rational"] == "1/2"
 
 
-@pytest.mark.parametrize("query", ["1:99", "0:-1", "1:2,1:2", "1:x"])
-def test_enumerate_bad_query_exit_2_before_enumerating(capsys, monkeypatch, query):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(pytest.param(("--model", "3,2,4", "--query", q), id=q)
+          for q in ("1:99", "0:-1", "1:2,1:2", "1:x")),
+        # a model the query cannot even be checked against
+        pytest.param(("--model", "1,2", "--query", "0:1"), id="--model 1,2"),
+        pytest.param(("--hexagon", "0,1,1", "--query", "0:1"), id="--hexagon 0,1,1"),
+    ],
+)
+def test_enumerate_bad_query_exit_2_before_enumerating(capsys, monkeypatch, argv):
     calls = counting_enumeration(monkeypatch)
-    code, out, err = run(capsys, "enumerate", "--model", "3,2,4", "--query", query)
+    code, out, err = run(capsys, "enumerate", *argv)
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
@@ -204,6 +213,11 @@ def test_static_kernel_outputs_are_pinned(capsys):
         ("--model", f"1,1,{cli.KERNEL_MAX_SIDE + 1}", "--static-t", "0"),
         ("--model", f"{cli.KERNEL_MAX_SIDE + 1},0,1", "--query", "0:0"),
         ("--hexagon", f"1,1,{cli.KERNEL_MAX_SIDE}", "--query", ""),
+        # --static-t work above KERNEL_MAX_STATIC_WORK: N dominates, T dominates,
+        # and a static matrix of 1600 points asked for next to a query
+        ("--model", "160,160,320", "--static-t", "160"),
+        ("--model", "1,450,900", "--static-t", "450", "--format", "csv"),
+        ("--model", "1600,800,1600", "--static-t", "0", "--query", "0:0"),
     ],
     ids=" ".join,
 )
@@ -211,7 +225,6 @@ def test_kernel_cost_cap_exit_3_before_any_work(capsys, monkeypatch, tmp_path, a
     def fail(*args, **kwargs):
         raise AssertionError("kernel work started")
 
-    monkeypatch.setattr(cli, "slice_basis", fail)
     monkeypatch.setattr(kernels, "slice_basis", fail)
     monkeypatch.setattr(cli.KernelMatrix, "build", fail)
     monkeypatch.setattr(cli, "static_kernel", fail)
@@ -220,6 +233,35 @@ def test_kernel_cost_cap_exit_3_before_any_work(capsys, monkeypatch, tmp_path, a
     assert code == 3
     assert "cap" in err
     assert not out.exists()
+
+
+def static_work(model: str, t: int) -> float:
+    n, s, t_max = map(int, model.split(","))
+    support = hahn_paths.slice_params(hahn_paths.ModelParams(n, s, t_max), t).support
+    return len(support) ** 2 * (n + t_max**2 / 10_000)
+
+
+@pytest.mark.parametrize("t", ["-1", "321"])
+def test_kernel_static_t_out_of_range_exit_2_before_any_work(capsys, monkeypatch, t):
+    def fail(*args, **kwargs):
+        raise AssertionError("kernel work started")
+
+    monkeypatch.setattr(kernels, "slice_basis", fail)
+    monkeypatch.setattr(cli, "static_kernel", fail)
+    code, out, err = run(capsys, "kernel", "--model", "160,160,320", "--static-t", t)
+    assert code == 2
+    assert err == f"error: t={t} outside 0..320\n"
+    assert out == ""
+
+
+def test_kernel_static_work_cap_admits_its_bound(capsys, monkeypatch):
+    # Below the cap, but about 30 s of real work: the entries are stubbed out.
+    assert static_work("155,155,310", 155) <= cli.KERNEL_MAX_STATIC_WORK < static_work(
+        "160,160,320", 160
+    )
+    monkeypatch.setattr(cli, "static_kernel", lambda *args: hahn_paths.SignedSqrt.zero())
+    doc = run_json(capsys, "kernel", "--model", "155,155,310", "--static-t", "155")
+    assert len(doc["static_support"]) == 310
 
 
 def test_kernel_cost_cap_admits_its_bound(capsys):
@@ -350,8 +392,7 @@ def test_limit_cost_caps_exit_3_before_any_work(capsys, monkeypatch, tmp_path, a
         raise AssertionError("limit work started")
 
     monkeypatch.setattr(cli, "convergence_probe", fail)
-    monkeypatch.setattr(bulk, "slice_basis", fail)
-    monkeypatch.setattr(cli, "slice_basis", fail)
+    monkeypatch.setattr(kernels, "slice_basis", fail)
     monkeypatch.setattr(cli, "sine_kernel_static", fail)
     out = tmp_path / "l.json"
     code, _, err = run(capsys, "limit", "--regime", "1,1,2,1,1", *argv, "--out", str(out))
@@ -425,6 +466,7 @@ def test_limit_nonfinite_regime_exit_2(capsys, monkeypatch, position, value):
         ("--rhos", "20", "--offsets", "1"),
         ("--rhos", "20", "--offsets", "0:0,1:x"),
         ("--rhos", "20", "--offsets", "0:0:1"),
+        ("--regime", "1,1,2,1"),  # replaces the five-value regime with four values
     ],
     ids=" ".join,
 )
@@ -437,7 +479,7 @@ def test_limit_bad_offsets_exit_2_before_any_work(capsys, monkeypatch, argv):
         monkeypatch.setattr(cli, name, fail)
     code, out, err = run(capsys, "limit", "--regime", "1,1,2,1,1", *argv)
     assert code == 2
-    assert err.startswith("error: --offsets")
+    assert err.startswith("error: " + argv[-2])  # the flag at fault
     assert out == ""
 
 

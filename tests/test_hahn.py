@@ -5,7 +5,6 @@ import pytest
 
 from conftest import small_sweep, sweep_models
 from hahn_paths import (
-    Case,
     ColumnScaleError,
     DegenerateParameterError,
     ModelParams,
@@ -16,8 +15,6 @@ from hahn_paths import (
 )
 from hahn_paths.hahn import (
     _SliceBasis,
-    _admissible_cases,
-    _case_params,
     _hahn_norm2_signed,
     _pochhammer_weight,
     _recurrence_coefficients,
@@ -25,7 +22,11 @@ from hahn_paths.hahn import (
     slice_basis,
 )
 from oracles import (
+    Case,
     ParameterRegimeError,
+    admissible_cases,
+    case_params,
+    param_tuple,
     contiguous_relation_residuals,
     coupling_coefficient_sq,
     difference_relation_residual,
@@ -38,23 +39,27 @@ from oracles import (
 def test_slice_params_examples():
     m = ModelParams(1, 1, 2)
     mid = slice_params(m, 1)
-    # boundary time: cases I and II coincide; the lower-numbered tag wins
-    assert (mid.M, mid.alpha, mid.beta, mid.shift) == (1, -2, -2, 0)
-    assert mid.case in (Case.I, Case.II)
-    assert _case_params(m, 1, Case.I) == _case_params(m, 1, Case.II)
+    # boundary time: cases I and II both apply and coincide
+    assert param_tuple(mid) == (1, -2, -2, 0)
+    assert admissible_cases(m, 1)[0] in (Case.I, Case.II)
+    assert case_params(m, 1, Case.I) == case_params(m, 1, Case.II) == param_tuple(mid)
 
     start = slice_params(m, 0)
-    assert (start.case, start.M, start.support_lo, start.support_hi) == (Case.I, 0, 0, 0)
+    assert admissible_cases(m, 0)[0] is Case.I
+    assert (start.M, start.support_lo, start.support_hi) == (0, 0, 0)
+    assert case_params(m, 0, Case.I) == param_tuple(start)
     end = slice_params(m, 2)
-    assert (end.case, end.M, end.shift) == (Case.IV, 0, 1)
+    assert admissible_cases(m, 2)[0] is Case.IV
+    assert (end.M, end.shift) == (0, 1)
     assert (end.support_lo, end.support_hi) == (1, 1)
+    assert case_params(m, 2, Case.IV) == param_tuple(end)
 
 
 def test_slice_params_case_structure():
     m = ModelParams(2, 4, 6)  # S > T - S: case III region in the middle
-    assert slice_params(m, 1).case is Case.I
-    assert slice_params(m, 3).case is Case.III
-    assert slice_params(m, 5).case is Case.IV
+    for t, case in ((1, Case.I), (3, Case.III), (5, Case.IV)):
+        assert admissible_cases(m, t)[0] is case
+        assert param_tuple(slice_params(m, t)) == case_params(m, t, case)
     with pytest.raises(ValueError):
         slice_params(m, 7)
 
@@ -62,9 +67,9 @@ def test_slice_params_case_structure():
 @pytest.mark.parametrize("model", small_sweep(), ids=str)
 def test_boundary_cases_agree(model):
     for t in range(model.T + 1):
-        cases = _admissible_cases(model, t)
-        params = {_case_params(model, t, case) for case in cases}
-        assert len(params) == 1
+        cases = admissible_cases(model, t)
+        params = {case_params(model, t, case) for case in cases}
+        assert params == {param_tuple(slice_params(model, t))}
 
 
 def test_slice_identities_sweep():
@@ -74,9 +79,10 @@ def test_slice_identities_sweep():
         N, S, T = model.N, model.S, model.T
         dims = []
         for t in range(T + 1):
-            cases = _admissible_cases(model, t)
-            assert len({_case_params(model, t, case) for case in cases}) == 1, (model, t)
             p = slice_params(model, t)
+            # The closed form is every admissible case of the four-case table.
+            for case in admissible_cases(model, t):
+                assert case_params(model, t, case) == param_tuple(p), (model, t, case)
             assert (p.shift, p.shift + p.M) == (max(0, t + S - T), min(t, S) + N - 1)
             dims.append(p.M)
             # Every recurrence step a column takes divides by A_n != 0

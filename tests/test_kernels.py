@@ -19,7 +19,7 @@ from hahn_paths import (
     transfer_matrix,
 )
 from hahn_paths.hahn import slice_basis
-from hahn_paths.kernels import _pair_table, gauged_extended_kernel
+from hahn_paths.kernels import _det_float_report, _gauge, _pair_table
 from oracles import coupling_coefficient_sq, gauge_transform, hahn_q, oracle_tables
 
 # SHA-256 of the exact correlations of CORRELATION_QUERIES on (20,20,40),
@@ -335,7 +335,7 @@ def test_gauged_entries_are_rational():
     pts = all_points(model)
     for p in pts[:6]:
         for q in pts[-6:]:
-            value = gauged_extended_kernel(model, p, q)
+            value = _gauge(model, p, q, extended_kernel(model, p, q))
             assert isinstance(value, Fraction)
 
 
@@ -348,6 +348,22 @@ def test_float_backend_close_to_exact():
     assert report.size == 2
     assert report.min_pivot > 0
     assert report.condition_hint >= 1
+
+
+@pytest.mark.parametrize(
+    "matrix, value, hint",
+    [
+        ([[0.0, 1.0], [1.0, 0.0]], -1.0, 1.0),  # a row swap flips the sign
+        ([[1.0, 2.0], [2.0, 4.0]], 0.0, float("inf")),  # a zero pivot
+        ([], 1.0, 1.0),  # the empty matrix
+    ],
+    ids=["row-swap", "zero-pivot", "empty"],
+)
+def test_det_float_report_branches(matrix, value, hint):
+    report = _det_float_report(matrix)
+    assert report.value == value
+    assert report.size == len(matrix)
+    assert report.condition_hint == hint
 
 
 def test_out_of_support_entries_vanish():
