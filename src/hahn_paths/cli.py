@@ -45,19 +45,21 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 
 # Cost caps of `limit`: the sine-kernel table has 2 dmax + 1 entries, and one
-# convergence-probe row takes about 30 s at a largest model side rho max(N~, T~)
-# of 2200 (regime 1,1,2,1,1 at rho = 1100; 2-vCPU VM, CPython 3.11).
+# convergence-probe row takes about 2.6 s at a largest model side rho max(N~, T~)
+# of 2200 (regime 1,1,2,1,1 at rho = 1100, fresh process; 0.44 s at rho = 480;
+# 2-vCPU VM, CPython 3.11).
 LIMIT_MAX_DMAX = 10_000
 LIMIT_MAX_SIDE = 2200
 
 # Cost caps of `kernel`.  The side cap max(N, T) follows the printed integers:
 # an exact query of four points at four times near the centre of (n, n, 2n)
 # prints integers of 2364 digits at side 1600 and 2660 at 1800, and Python
-# refuses to print one of more than 4300.  That query takes 4.6 s on
-# (800, 800, 1600) and 13.6 s on (1600, 800, 1600).  A --static-t matrix has
-# support^2 entries, each about 1.7 us times N + T^2/10^4 (an N-term dot
+# refuses to print one of more than 4300.  That query takes 0.7 s on
+# (800, 800, 1600) and 2.6 s on (1600, 800, 1600).  A --static-t matrix has
+# support^2 entries, each about 1.8 us times N + T^2/10^4 (an N-term dot
 # product, then rationals whose size grows with T); the work cap puts it near
-# 30 s (2-vCPU VM, CPython 3.11).
+# 30 s: (150, 150, 300) at t = 150, work 1.43e7, takes 26 s (fresh processes,
+# 2-vCPU VM, CPython 3.11).
 KERNEL_MAX_SIDE = 1600
 KERNEL_MAX_STATIC_WORK = 16_000_000
 

@@ -16,14 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .combinatorics import ModelParams
 from .errors import ColumnScaleError, DegenerateParameterError
 from .radicals import SignedSqrt
-
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -129,19 +126,31 @@ def _recurrence_coefficients(n: int, alpha: int, beta: int, M: int) -> tuple[int
     return a_num * c_den + c_num * a_den, a_den * c_den, c_num * a_den, a_num * c_den
 
 
-def _scaled_numerator(value: Fraction, den: int) -> int:
-    """value * den, for a den that value's denominator divides."""
-    scale, rest = divmod(den, value.denominator)
+def _scaled_numerator(num: int, den: int, lcd: int) -> int:
+    """num / den times lcd, for an lcd that den divides."""
+    scale, rest = divmod(lcd, den)
     if rest:
-        raise ColumnScaleError(f"{value} times {den} is not an integer")
-    return value.numerator * scale
+        raise ColumnScaleError(f"{num}/{den} times {lcd} is not an integer")
+    return num * scale
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms with a positive denominator."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 class _SliceBasis:
     """Cached per-slice data: weights, polynomial values, norms.
 
-    The values Q_0(x), Q_1(x), ... at one x form a column, extended on
-    demand with the three-term recurrence; the tests check it against the
+    Weights are computed where something reads them and memoized, so the
+    memo holds at most one entry per support point.  The values Q_0(x),
+    Q_1(x), ... at one x form a column, extended on demand with the
+    three-term recurrence, whose integer coefficients are memoized once per
+    basis; each step carries the new value as a reduced (numerator,
+    denominator) integer pair, and the tests check the column against the
     terminating series.  A column is stored as integers over one
     denominator, (D, [D Q_0(x'), ..., D Q_j(x')]) with D the least common
     denominator, so that a kernel entry sums integer products; an extension
@@ -152,13 +161,25 @@ class _SliceBasis:
     """
 
     def __init__(self, model: ModelParams, t: int):
+        self._model = model
+        self._t = t
         self.params = slice_params(model, t)
         p = self.params
         self.support = p.support
-        self.weights = {x: slice_weight(model, t, x) for x in self.support}
+        self._weights: dict[int, Fraction] = {}
+        self._coefficients: list[tuple[int, int, int, int]] = []
         self._columns: dict[int, tuple[int, list[int]]] = {}
         self._norm_memo: dict[int, Fraction] = {}
-        self.lam = _pochhammer_weight(0, p.alpha, p.beta, p.M) / self.weights[p.shift]
+        self.lam = _pochhammer_weight(0, p.alpha, p.beta, p.M) / self.weight(p.shift)
+
+    def weight(self, x: int) -> Fraction:
+        """Factorial-form weight at model coordinate x; zero off the support."""
+        value = self._weights.get(x)
+        if value is None:
+            value = slice_weight(self._model, self._t, x)
+            if x in self.support:
+                self._weights[x] = value
+        return value
 
     def scaled_column(self, x: int, k: int) -> tuple[int, list[int]]:
         """(D, [D Q_0(x'), ..., D Q_j(x')]) for some j >= k, at model coordinate x.
@@ -171,21 +192,22 @@ class _SliceBasis:
         den, ints = self._columns.get(x, (1, [1]))
         if k < len(ints):
             return den, ints
+        coefficients = self._coefficients
+        for n in range(len(coefficients), k):
+            coefficients.append(_recurrence_coefficients(n, p.alpha, p.beta, p.M))
         xp = x - p.shift
-        cur = Fraction(ints[-1], den)
-        prev = Fraction(ints[-2], den) if len(ints) > 1 else _ZERO
+        prev = _reduced(ints[-2], den) if len(ints) > 1 else (0, 1)
+        cur = _reduced(ints[-1], den)
         new = []
-        for n in range(len(ints) - 1, k):
-            b, e, c, d = _recurrence_coefficients(n, p.alpha, p.beta, p.M)
-            prev, cur = cur, Fraction(
-                (b - e * xp) * cur.numerator * prev.denominator
-                - c * prev.numerator * cur.denominator,
-                d * cur.denominator * prev.denominator,
+        for b, e, c, d in coefficients[len(ints) - 1 : k]:
+            (prev_n, prev_d), (cur_n, cur_d) = prev, cur
+            prev, cur = cur, _reduced(
+                (b - e * xp) * cur_n * prev_d - c * prev_n * cur_d, d * cur_d * prev_d
             )
             new.append(cur)
-        lcd = lcm(den, *(v.denominator for v in new))
+        lcd = lcm(den, *(v_d for _, v_d in new))
         scale = lcd // den
-        ints = [v * scale for v in ints] + [_scaled_numerator(v, lcd) for v in new]
+        ints = [v * scale for v in ints] + [_scaled_numerator(v_n, v_d, lcd) for v_n, v_d in new]
         self._columns[x] = lcd, ints
         return lcd, ints
 
@@ -219,18 +241,19 @@ class _SliceBasis:
         memo[k] = value
         return value
 
-    def norm_step(self, k: int) -> Fraction:
-        """n_k / n_(k-1), from the closed-form ratio; across a zero factor, from the norms."""
+    def norm_step(self, k: int) -> tuple[int, int]:
+        """n_k / n_(k-1) as integers (num, den); across a zero factor, from the norms."""
         p = self.params
         num, den = _norm_ratio(k, p.alpha, p.beta, p.M)
         if num and den:
-            return Fraction(num, den)
-        return self.norm2(k) / self.norm2(k - 1)
+            return num, den
+        step = self.norm2(k) / self.norm2(k - 1)
+        return step.numerator, step.denominator
 
     def f(self, n: int, x: int) -> SignedSqrt:
         if x not in self.support:
             return SignedSqrt.zero()
-        return SignedSqrt(self.q(n, x), self.weights[x] / self.norm2(n))
+        return SignedSqrt(self.q(n, x), self.weight(x) / self.norm2(n))
 
 
 @lru_cache(maxsize=1024)

@@ -16,8 +16,8 @@ from math import lcm
 
 from .combinatorics import ModelParams, det_bareiss
 from .errors import FloatRangeError, IncompatibleRadicalsError
-from .hahn import pochhammer, slice_basis
-from .radicals import SignedSqrt, sqrt_fraction
+from .hahn import _reduced, pochhammer, slice_basis
+from .radicals import SignedSqrt, exact_isqrt, sqrt_fraction
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,10 @@ def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, int,
     R_i = prod c_i^2 / (n_i^s n_i^t) for N <= i <= min(M_s, M_t) when s < t,
     the product over the steps between the two times.  R = R_lo, and
     ratios[i - lo] / L = +-sqrt(R_i / R) is rational, negative when s < t:
-    the ratios are integers over their least common denominator L.
+    the ratios are integers over their least common denominator L.  Each
+    step's square R_i / R_(i-1) is built from small integers and reduced
+    once, its root is the integer roots of its two terms, and the running
+    ratio is kept as a reduced integer pair.
     """
     b_s = slice_basis(model, s)
     b_t = slice_basis(model, t)
@@ -83,25 +86,28 @@ def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, int,
     )
     radicand = 1 / (b_s.norm2(lo) * b_t.norm2(lo))
     radicand = radicand / prod_c2 if s >= t else radicand * prod_c2
-    # R_i / R_(i-1) from small integers: the closed-form norm ratios, and
+    # R_i / R_(i-1) from small integers: the norm ratios n_i / n_(i-1), and
     # prod c_i^2 / prod c_(i-1)^2 = u v / ((u + d) (v + d)), u = a+N-i, v = T+N-b-i.
-    ratio = Fraction(1)
-    ratios = [ratio]
+    r_num, r_den = 1, 1
+    ratios = [(r_num, r_den)]
     for i in indices[1:]:
         u, v = a + N - i, T + N - b - i
-        c2_step = Fraction(u * v, (u + d) * (v + d))
-        step = sqrt_fraction(
-            (c2_step if s < t else 1 / c2_step) / (b_s.norm_step(i) * b_t.norm_step(i))
-        )
-        if step is None:
+        c2_num, c2_den = u * v, (u + d) * (v + d)
+        if s >= t:
+            c2_num, c2_den = c2_den, c2_num
+        s_num, s_den = b_s.norm_step(i)
+        t_num, t_den = b_t.norm_step(i)
+        num, den = _reduced(c2_num * s_den * t_den, c2_den * s_num * t_num)
+        root_num, root_den = exact_isqrt(num), exact_isqrt(den)
+        if root_num is None or root_den is None:
             raise IncompatibleRadicalsError(
                 f"kernel terms {lo} and {i} between times {s} and {t}"
                 " have incompatible radicands"
             )
-        ratio *= step
-        ratios.append(ratio)
-    lcd = lcm(*(r.denominator for r in ratios))
-    scaled = tuple(sign * r.numerator * (lcd // r.denominator) for r in ratios)
+        r_num, r_den = _reduced(r_num * root_num, r_den * root_den)
+        ratios.append((r_num, r_den))
+    lcd = lcm(*(r_den for _, r_den in ratios))
+    scaled = tuple(sign * r_num * (lcd // r_den) for r_num, r_den in ratios)
     return lo, radicand, lcd, scaled
 
 
@@ -139,7 +145,7 @@ def extended_kernel(
             acc += term * ratio
     if not acc:
         return SignedSqrt.zero()
-    w_pair = b_s.weights[x] * b_t.weights[y]
+    w_pair = b_s.weight(x) * b_t.weight(y)
     return SignedSqrt(
         Fraction(acc, den_x * den_y * abs(ref)),
         w_pair * radicand * Fraction(ref * ref, lcd * lcd),
@@ -160,7 +166,7 @@ def _gauge(
     # n_i^{t+1} = n_i^t c_i(t)^2 kappa_t (rational square) has an i-independent
     # core kappa_t, and since c_0 = 1 identically the accumulated product of
     # cores telescopes to the 0-th norm itself.
-    scale = b_t.weights[y] / b_s.weights[x] * b_t.norm2(0) / b_s.norm2(0)
+    scale = b_t.weight(y) / b_s.weight(x) * b_t.norm2(0) / b_s.norm2(0)
     root = sqrt_fraction(value.radicand * scale)
     if root is None:
         raise IncompatibleRadicalsError(

@@ -67,7 +67,7 @@ def slice_distribution(model: ModelParams, t: int, z: tuple[int, ...]) -> Fracti
         return Fraction(0)
     w_prod = Fraction(1)
     for x in z:
-        w_prod *= basis.weights[x]
+        w_prod *= basis.weight(x)
     return _vandermonde(z) ** 2 * w_prod / _normalization(model, t)
 
 

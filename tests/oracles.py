@@ -3,12 +3,14 @@
 Each function here computes a quantity a second way, independently of the
 path the library takes: the terminating Hahn series and the closed-form
 norms against the recurrence columns and chained norms, the classical
-identities of the slice polynomials, the four-case table of slice parameters
-against ``slice_params``'s closed form, the determinantal transition law and
-the coupled transfer series, the limiting difference operator and the
-tangency of the inscribed ellipse, a gauge conjugation of kernel matrices,
-occupation tables from one enumeration pass, and quadrature of the arc
-integrals that ``bulk.arc_integral`` evaluates in closed form.  For the
+identities of the slice polynomials, recurrence columns and kernel pair
+tables stepped in Fractions against the library's reduced integer pairs,
+the four-case table of slice parameters against ``slice_params``'s closed
+form, the determinantal transition law and the coupled transfer series, the
+limiting difference operator and the tangency of the inscribed ellipse, a
+gauge conjugation of kernel matrices, occupation tables from one
+enumeration pass, and quadrature of the arc integrals that
+``bulk.arc_integral`` evaluates in closed form.  For the
 quadrature, adaptive Simpson serves short offsets; composite Gauss-Legendre,
 one panel per oscillation, serves offsets in the thousands, where the
 adaptive oracle runs out of panels.
@@ -27,6 +29,7 @@ from math import cos, pi
 from hahn_paths import (
     BoundaryRegimeError,
     DegenerateParameterError,
+    IncompatibleRadicalsError,
     KernelMatrix,
     LimitRegime,
     ModelParams,
@@ -35,9 +38,17 @@ from hahn_paths import (
     enumerate_path_families,
     slice_params,
 )
+from hahn_paths import hahn as hahn_module
 from hahn_paths.combinatorics import det_bareiss
-from hahn_paths.hahn import _hahn_norm2_signed, _pochhammer_weight, pochhammer, slice_basis
+from hahn_paths.hahn import (
+    _hahn_norm2_signed,
+    _pochhammer_weight,
+    _recurrence_coefficients,
+    pochhammer,
+    slice_basis,
+)
 from hahn_paths.process import _validate_config, _vandermonde
+from hahn_paths.radicals import sqrt_fraction
 
 # -- arc quadrature ----------------------------------------------------------
 
@@ -337,6 +348,19 @@ def difference_relation_residual(model: ModelParams, t: int, k: int, x: int) -> 
     return lhs - rhs
 
 
+def recurrence_column(model: ModelParams, t: int, x: int, k: int) -> list[Fraction]:
+    """Q_0(x'), ..., Q_k(x') by the three-term recurrence, one Fraction per step."""
+    p = slice_params(model, t)
+    xp = x - p.shift
+    prev, cur = Fraction(0), Fraction(1)
+    values = [cur]
+    for n in range(k):
+        b, e, c, d = _recurrence_coefficients(n, p.alpha, p.beta, p.M)
+        prev, cur = cur, ((b - e * xp) * cur - c * prev) / d
+        values.append(cur)
+    return values
+
+
 # -- the particle process: couplings, transitions, transfer series ----------
 
 
@@ -384,7 +408,7 @@ def transfer_matrix_series(model: ModelParams, t: int, x: int, y: int) -> Signed
         if c2 == 0:
             continue
         coeff = b_t.q(k, x) * b_next.q(k, y)
-        rad = c2 * b_t.weights[x] * b_next.weights[y] / (b_t.norm2(k) * b_next.norm2(k))
+        rad = c2 * b_t.weight(x) * b_next.weight(y) / (b_t.norm2(k) * b_next.norm2(k))
         terms.append(SignedSqrt(coeff, rad))
     return sum(terms, SignedSqrt.zero())
 
@@ -481,3 +505,51 @@ def oracle_tables(model: ModelParams) -> tuple[int, Counter, Counter]:
         singles.update(points)
         pairs.update(combinations(sorted(points), 2))
     return len(families), singles, pairs
+
+
+def _fraction_norm_step(basis, k: int) -> Fraction:
+    """n_k / n_(k-1) of a slice basis as a Fraction; across a zero factor, from the norms."""
+    p = basis.params
+    num, den = hahn_module._norm_ratio(k, p.alpha, p.beta, p.M)
+    if num and den:
+        return Fraction(num, den)
+    return basis.norm2(k) / basis.norm2(k - 1)
+
+
+def pair_table_fractions(
+    model: ModelParams, s: int, t: int
+) -> tuple[int, Fraction, int, tuple[int, ...]]:
+    """``kernels._pair_table`` with each step a Fraction: its square, root and running ratio."""
+    b_s = slice_basis(model, s)
+    b_t = slice_basis(model, t)
+    if s >= t:
+        indices, sign = range(model.N), 1
+    else:
+        indices, sign = range(model.N, min(b_s.params.M, b_t.params.M) + 1), -1
+    lo = indices.start
+    if not indices:
+        return lo, Fraction(0), 1, ()
+    N, T, a, b = model.N, model.T, min(s, t), max(s, t)
+    d = b - a
+    prod_c2 = Fraction(
+        pochhammer(a + N - lo, d) * pochhammer(T + N - b - lo, d),
+        pochhammer(a + N, d) * pochhammer(T + N - b, d),
+    )
+    radicand = 1 / (b_s.norm2(lo) * b_t.norm2(lo))
+    radicand = radicand / prod_c2 if s >= t else radicand * prod_c2
+    ratio = Fraction(1)
+    ratios = [ratio]
+    for i in indices[1:]:
+        u, v = a + N - i, T + N - b - i
+        c2_step = Fraction(u * v, (u + d) * (v + d))
+        step = sqrt_fraction(
+            (c2_step if s < t else 1 / c2_step)
+            / (_fraction_norm_step(b_s, i) * _fraction_norm_step(b_t, i))
+        )
+        if step is None:
+            raise IncompatibleRadicalsError(f"terms {lo} and {i} between times {s} and {t}")
+        ratio *= step
+        ratios.append(ratio)
+    lcd = math.lcm(*(r.denominator for r in ratios))
+    scaled = tuple(sign * r.numerator * (lcd // r.denominator) for r in ratios)
+    return lo, radicand, lcd, scaled

@@ -419,6 +419,35 @@ def test_convergence_probe_small():
     assert abs(center.prelimit - 2 / 3) < 0.05
 
 
+RATE_RHOS = [20, 40, 80, 160, 320]
+
+
+def test_bulk_limit_error_is_order_one_over_rho_at_the_symmetric_regime():
+    # Measured over the 35 default offsets: rho * max_error is 0.299, 0.310,
+    # 0.316, 0.319 and 0.320 at rho = 20 ... 320, and the Richardson
+    # combination 2 K(2 rho) - K(rho) misses the limit by 1.81e-5 at
+    # 160 -> 320.  The band and the bound leave a margin of about 0.02 and
+    # of 1.7x.
+    rows = convergence_probe(CENTER, PROBE_OFFSETS, RATE_RHOS).rows
+    for row in rows:
+        assert 0.28 <= row.rho * row.max_error <= 0.34, row.rho
+    coarse, fine = rows[-2], rows[-1]
+    richardson = max(
+        abs(2 * b.prelimit - a.prelimit - b.limit) for a, b in zip(coarse.cells, fine.cells)
+    )
+    assert richardson < 3e-5
+
+
+@pytest.mark.parametrize(
+    "regime", [LimitRegime(1, 0.5, 2, 0.7, 0.9), LimitRegime(2, 1, 3, 1.5, 1.4)], ids=str
+)
+def test_bulk_limit_error_is_at_most_one_over_rho_off_the_symmetric_regime(regime):
+    # Measured: rho * max_error stays at or below 0.83 and 0.31 up to
+    # rho = 320, though not smoothly (see the rate table in CHANGES.md).
+    for row in convergence_probe(regime, PROBE_OFFSETS, RATE_RHOS).rows:
+        assert row.rho * row.max_error <= 1.0, row.rho
+
+
 def test_convergence_probe_frozen_point():
     reg = LimitRegime(1, 1, 2, 1, 1.95)
     table = convergence_probe(reg, [(0, 0)], [40])

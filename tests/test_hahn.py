@@ -172,9 +172,9 @@ def test_stored_columns_are_integers_over_their_least_common_denominator():
 
 
 def test_column_scale_must_be_integral():
-    assert _scaled_numerator(Fraction(-5, 6), 12) == -10
+    assert _scaled_numerator(-5, 6, 12) == -10
     with pytest.raises(ColumnScaleError):
-        _scaled_numerator(Fraction(1, 3), 2)
+        _scaled_numerator(1, 3, 2)
 
 
 def test_recurrence_degenerate_step_raises():
@@ -215,7 +215,7 @@ def test_norm_examples():
 def test_norm_after_normalization_is_one():
     m = ModelParams(2, 2, 4)
     basis = slice_basis(m, 2)
-    total = sum(basis.weights.values())
+    total = sum(basis.weight(x) for x in basis.support)
     assert basis.norm2(0) / total == 1
 
 
@@ -232,7 +232,7 @@ def test_norm_closed_form_matches_direct_sum(model):
         p = basis.params
         for k in range(p.M + 1):
             direct = sum(
-                basis.weights[x] * basis.q(k, x) ** 2 for x in basis.support
+                basis.weight(x) * basis.q(k, x) ** 2 for x in basis.support
             )
             assert basis.norm2(k) == direct
             assert hahn_norm2(k, p.alpha, p.beta, p.M) == abs(basis.lam) * direct
@@ -253,7 +253,7 @@ def test_pochhammer_factorial_proportionality(model):
         assert lam * (-1) ** p.M > 0
         for x in basis.support:
             assert _pochhammer_weight(x - p.shift, p.alpha, p.beta, p.M) == (
-                lam * basis.weights[x]
+                lam * basis.weight(x)
             )
 
 

@@ -109,7 +109,7 @@ def per_term_kernel(model, p, q):
         indices, steps, sign = range(model.N), range(t, s), 1
     else:
         indices, steps, sign = range(model.N, min(ps.M, pt.M) + 1), range(s, t), -1
-    w_pair = b_s.weights[x] * b_t.weights[y]
+    w_pair = b_s.weight(x) * b_t.weight(y)
     terms = []
     for i in indices:
         coeff = sign * hahn_q(i, x - ps.shift, ps.alpha, ps.beta, ps.M) * hahn_q(

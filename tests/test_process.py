@@ -86,7 +86,7 @@ def test_normalization_closed_form_matches_subset_sum(model):
         for z in configs_at(model, t):
             w_prod = Fraction(1)
             for x in z:
-                w_prod *= basis.weights[x]
+                w_prod *= basis.weight(x)
             subset_sum += _vandermonde(z) ** 2 * w_prod
         assert _normalization(model, t) == subset_sum, (model, t)
 

@@ -1,10 +1,23 @@
-"""Property tests: closed forms against their oracles on random inputs."""
+"""Property tests: closed forms and integer steps against their oracles on random inputs."""
 
-from hypothesis import given, settings
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hahn_paths import ModelParams, slice_params
-from oracles import admissible_cases, case_params, param_tuple
+from hahn_paths import IncompatibleRadicalsError, ModelParams, slice_params, slice_weight
+from hahn_paths import hahn
+from hahn_paths.hahn import _SliceBasis, slice_basis
+from hahn_paths.kernels import _pair_table, extended_kernel
+from oracles import (
+    admissible_cases,
+    case_params,
+    hahn_q,
+    pair_table_fractions,
+    param_tuple,
+    recurrence_column,
+)
 
 SIDE = 2000
 
@@ -22,3 +35,140 @@ def test_slice_params_equal_every_admissible_case(data):
     assert cases
     for case in cases:
         assert case_params(model, t, case) == expected, case
+
+
+def _model(data, n_max: int, t_max: int) -> ModelParams:
+    T = data.draw(st.integers(1, t_max), label="T")
+    S = data.draw(st.integers(0, T), label="S")
+    N = data.draw(st.integers(1, n_max), label="N")
+    return ModelParams(N, S, T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_columns_equal_the_terminating_series(data):
+    # A fresh basis extends the column twice, so the second extension
+    # resumes from stored integers and rescales them.
+    model = _model(data, 60, 60)
+    t = data.draw(st.integers(0, model.T), label="t")
+    basis = _SliceBasis(model, t)
+    p = basis.params
+    x = data.draw(st.sampled_from(basis.support), label="x")
+    first = data.draw(st.integers(0, p.M), label="first")
+    k = data.draw(st.integers(first, p.M), label="k")
+    basis.scaled_column(x, first)
+    column = basis.column(x, k)[: k + 1]
+    assert column == recurrence_column(model, t, x, k)
+    for j, value in enumerate(column):
+        assert value == hahn_q(j, x - p.shift, p.alpha, p.beta, p.M), j
+
+
+def _time_pair(data, model: ModelParams) -> tuple[int, int]:
+    s = data.draw(st.integers(0, model.T), label="s")
+    t = data.draw(st.integers(0, model.T), label="t")
+    return s, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pair_table_equals_the_fraction_steps(data):
+    model = _model(data, 30, 40)
+    s, t = _time_pair(data, model)
+    assert _pair_table(model, s, t) == pair_table_fractions(model, s, t)
+
+
+def _fresh(table, model: ModelParams, s: int, t: int):
+    """table(model, s, t) from slice bases and pair tables built anew."""
+    slice_basis.cache_clear()
+    _pair_table.cache_clear()
+    return table(model, s, t)
+
+
+@contextmanager
+def _norm_ratio_replaced(replacement):
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hahn, "_norm_ratio", replacement)
+            yield
+    finally:
+        slice_basis.cache_clear()
+        _pair_table.cache_clear()
+
+
+def _table_index(data, model: ModelParams, s: int, t: int) -> int:
+    """An index i > lo of the (s, t) pair table, whose step R_i / R_(i-1) it takes."""
+    lo, _, _, ratios = pair_table_fractions(model, s, t)
+    assume(len(ratios) > 1)
+    return data.draw(st.integers(lo + 1, lo + len(ratios) - 1), label="i")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_table_across_zero_factor_indices(data):
+    # No slice of a valid model has a closed-form norm ratio with a zero
+    # factor, so one is forced: a zero denominator at the drawn indices sends
+    # both the norm chain and the pair-table step through the norms, which
+    # must give the same table as the unforced one.
+    model = _model(data, 12, 16)
+    s, t = _time_pair(data, model)
+    want = pair_table_fractions(model, s, t)
+    zero_at = {_table_index(data, model, s, t)}
+    zero_at |= data.draw(st.sets(st.integers(1, 2 * model.N + model.T)), label="more")
+    ratio = hahn._norm_ratio
+
+    def forced(k, alpha, beta, M):
+        num, den = ratio(k, alpha, beta, M)
+        return (num, 0) if k in zero_at else (num, den)
+
+    with _norm_ratio_replaced(forced):
+        assert _fresh(_pair_table, model, s, t) == want
+        assert _fresh(pair_table_fractions, model, s, t) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_table_raises_where_the_fraction_steps_do(data):
+    # One slice's norm ratio scaled by a non-square factor makes a step's
+    # square irrational; the integer and Fraction steps must refuse the same
+    # tables and agree on every other one.
+    model = _model(data, 12, 16)
+    s, t = _time_pair(data, model)
+    at = _table_index(data, model, s, t)
+    factor = data.draw(st.sampled_from([2, 3, 4, 9, 12]), label="factor")
+    p = slice_params(model, s)
+    ratio = hahn._norm_ratio
+
+    def scaled(k, alpha, beta, M):
+        num, den = ratio(k, alpha, beta, M)
+        if (k, alpha, beta, M) == (at, p.alpha, p.beta, p.M):
+            num *= factor
+        return num, den
+
+    outcomes = []
+    with _norm_ratio_replaced(scaled):
+        for table in (_pair_table, pair_table_fractions):
+            try:
+                outcomes.append(_fresh(table, model, s, t))
+            except IncompatibleRadicalsError:
+                outcomes.append(IncompatibleRadicalsError)
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_weight_on_demand_equals_slice_weight(data):
+    model = _model(data, 40, 60)
+    t = data.draw(st.integers(0, model.T), label="t")
+    basis = _SliceBasis(model, t)
+    lo, hi = basis.params.support_lo, basis.params.support_hi
+    xs = data.draw(st.lists(st.integers(lo - 3, hi + 3), min_size=1, max_size=12), label="xs")
+    for x in xs:
+        assert basis.weight(x) == slice_weight(model, t, x), x
+        if x not in basis.support:
+            # Off the support the weight, the orthonormal functions and the
+            # kernel entries are zero, and nothing is memoized.
+            assert basis.weight(x) == 0
+            assert basis.f(0, x).is_zero()
+            assert extended_kernel(model, (x, t), (lo, t)).is_zero()
+    assert len(basis._weights) <= len(basis.support)
+    assert set(basis._weights) <= set(basis.support)
