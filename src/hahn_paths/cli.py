@@ -56,10 +56,10 @@ LIMIT_MAX_SIDE = 2200
 # prints integers of 2364 digits at side 1600 and 2660 at 1800, and Python
 # refuses to print one of more than 4300.  That query takes 0.7 s on
 # (800, 800, 1600) and 2.6 s on (1600, 800, 1600).  A --static-t matrix has
-# support^2 entries, each about 1.8 us times N + T^2/10^4 (an N-term dot
+# support^2 entries, each about 1.4 us times N + T^2/10^4 (an N-term dot
 # product, then rationals whose size grows with T); the work cap puts it near
-# 30 s: (150, 150, 300) at t = 150, work 1.43e7, takes 26 s (fresh processes,
-# 2-vCPU VM, CPython 3.11).
+# 22 s: (150, 150, 300) at t = 150, work 1.43e7, takes 17-20 s (fresh
+# processes, 2-vCPU VM, CPython 3.11).
 KERNEL_MAX_SIDE = 1600
 KERNEL_MAX_STATIC_WORK = 16_000_000
 

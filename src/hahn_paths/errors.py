@@ -36,7 +36,7 @@ class DegenerateParameterError(HahnPathsError):
 
 
 class ColumnScaleError(HahnPathsError):
-    """A recurrence value is not an integer over its column's common denominator."""
+    """A value is not an integer over the common denominator of its column or pair table."""
 
 
 class BoundaryRegimeError(HahnPathsError):

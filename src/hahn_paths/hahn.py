@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from .combinatorics import ModelParams
 from .errors import ColumnScaleError, DegenerateParameterError
@@ -111,19 +111,23 @@ def _recurrence_coefficients(n: int, alpha: int, beta: int, M: int) -> tuple[int
     This is the three-term recurrence
     -x' Q_n = A_n Q_{n+1} - (A_n + C_n) Q_n + C_n Q_{n-1}
     (Koekoek-Lesky-Swarttouw, Hypergeometric Orthogonal Polynomials, 9.5.3)
-    multiplied through by the denominators of A_n and C_n.  A zero A_n or a
-    zero denominator raises DegenerateParameterError.
+    multiplied through by the denominators of A_n and C_n.  The column step
+    of ``_SliceBasis.scaled_column`` needs d > 0.  On a slice,
+    alpha + 1 <= -M and alpha + beta = -T - 2N give d > 0 for 0 <= n < M;
+    a zero denominator of A_n or a d <= 0 raises DegenerateParameterError.
     """
     ab = alpha + beta
     a_num = (n + ab + 1) * (n + alpha + 1) * (M - n)
     a_den = (2 * n + ab + 1) * (2 * n + ab + 2)
     c_num = n * (n + ab + M + 1) * (n + beta)
     c_den = (2 * n + ab) * (2 * n + ab + 1) if n else 1  # C_0 = 0
-    if a_num == 0 or a_den == 0 or c_den == 0:
+    d = a_num * c_den
+    if a_den == 0 or d <= 0:
         raise DegenerateParameterError(
-            f"degenerate recurrence step n={n} for alpha={alpha}, beta={beta}, M={M}"
+            f"degenerate recurrence step n={n} for alpha={alpha}, beta={beta}, M={M}:"
+            f" A_n denominator {a_den}, d = {d}"
         )
-    return a_num * c_den + c_num * a_den, a_den * c_den, c_num * a_den, a_num * c_den
+    return a_num * c_den + c_num * a_den, a_den * c_den, c_num * a_den, d
 
 
 def _scaled_numerator(num: int, den: int, lcd: int) -> int:
@@ -134,12 +138,20 @@ def _scaled_numerator(num: int, den: int, lcd: int) -> int:
     return num * scale
 
 
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num / den in lowest terms with a positive denominator."""
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
-    return num // g, den // g
+def _rescale_stretches(values: list[int], marks: list[tuple[int, int]], den: int) -> None:
+    """Put values over the common denominator den in place.
+
+    The marks (i, den_i) split values into stretches: from index i up to the
+    next mark the values are over den_i, a divisor of den.  Each stretch is
+    scaled by den / den_i once.
+    """
+    end = len(values)
+    for start, stretch_den in reversed(marks):
+        scale = _scaled_numerator(1, stretch_den, den)
+        if scale != 1:
+            for i in range(start, end):
+                values[i] *= scale
+        end = start
 
 
 class _SliceBasis:
@@ -149,15 +161,14 @@ class _SliceBasis:
     memo holds at most one entry per support point.  The values Q_0(x),
     Q_1(x), ... at one x form a column, extended on demand with the
     three-term recurrence, whose integer coefficients are memoized once per
-    basis; each step carries the new value as a reduced (numerator,
-    denominator) integer pair, and the tests check the column against the
-    terminating series.  A column is stored as integers over one
-    denominator, (D, [D Q_0(x'), ..., D Q_j(x')]) with D the least common
-    denominator, so that a kernel entry sums integer products; an extension
-    rescales the stored integers to the new least common denominator.
-    Norms are taken w.r.t. the factorial-form weight, obtained from the
-    closed form through the constant Pochhammer/factorial ratio lambda, read
-    at the left end of the support.
+    basis; the tests check the column against the terminating series.  A
+    column is stored as integers over one denominator,
+    (D, [D Q_0(x'), ..., D Q_j(x')]) with D the least common denominator,
+    so that a kernel entry sums integer products, and each recurrence step
+    works on those integers directly (see ``scaled_column``).  Norms are
+    taken w.r.t. the factorial-form weight, obtained from the closed form
+    through the constant Pochhammer/factorial ratio lambda, read at the left
+    end of the support.
     """
 
     def __init__(self, model: ModelParams, t: int):
@@ -184,7 +195,13 @@ class _SliceBasis:
     def scaled_column(self, x: int, k: int) -> tuple[int, list[int]]:
         """(D, [D Q_0(x'), ..., D Q_j(x')]) for some j >= k, at model coordinate x.
 
-        D is the least common denominator of the values.
+        D is the least common denominator of the values.  A step takes
+        num = (b - e x') D Q_n - c D Q_(n-1) over d D; with g = gcd(num, d)
+        and r = d / g, the new value is (num / g) / (r D), and
+        gcd(num / g, r) = 1 makes r D the least common denominator of the
+        extended column (d > 0, see ``_recurrence_coefficients``).  So D
+        grows by r where r > 1, and every gcd has the small operand d.  The
+        integers stored before each growth are rescaled once at the end.
         """
         p = self.params
         if not 0 <= k <= p.M:
@@ -196,25 +213,23 @@ class _SliceBasis:
         for n in range(len(coefficients), k):
             coefficients.append(_recurrence_coefficients(n, p.alpha, p.beta, p.M))
         xp = x - p.shift
-        prev = _reduced(ints[-2], den) if len(ints) > 1 else (0, 1)
-        cur = _reduced(ints[-1], den)
-        new = []
+        prev = ints[-2] if len(ints) > 1 else 0
+        cur = ints[-1]
+        marks = [(0, den)]
+        ints = ints[:]
         for b, e, c, d in coefficients[len(ints) - 1 : k]:
-            (prev_n, prev_d), (cur_n, cur_d) = prev, cur
-            prev, cur = cur, _reduced(
-                (b - e * xp) * cur_n * prev_d - c * prev_n * cur_d, d * cur_d * prev_d
-            )
-            new.append(cur)
-        lcd = lcm(den, *(v_d for _, v_d in new))
-        scale = lcd // den
-        ints = [v * scale for v in ints] + [_scaled_numerator(v_n, v_d, lcd) for v_n, v_d in new]
-        self._columns[x] = lcd, ints
-        return lcd, ints
-
-    def column(self, x: int, k: int) -> list[Fraction]:
-        """Q_0(x'), ..., Q_j(x') for some j >= k, at model coordinate x."""
-        den, ints = self.scaled_column(x, k)
-        return [Fraction(v, den) for v in ints]
+            num = (b - e * xp) * cur - c * prev
+            g = gcd(num, d)
+            r = d // g
+            if r > 1:
+                den *= r
+                cur *= r
+                marks.append((len(ints), den))
+            prev, cur = cur, num // g
+            ints.append(cur)
+        _rescale_stretches(ints, marks, den)
+        self._columns[x] = den, ints
+        return den, ints
 
     def q(self, k: int, x: int) -> Fraction:
         """Q_k at model coordinate x (shift applied), as a polynomial value."""

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .combinatorics import ModelParams, det_bareiss
 from .errors import FloatRangeError, IncompatibleRadicalsError
-from .hahn import _reduced, pochhammer, slice_basis
+from .hahn import _rescale_stretches, pochhammer, slice_basis
 from .radicals import SignedSqrt, exact_isqrt, sqrt_fraction
 
 
@@ -53,6 +53,14 @@ def complementary_kernel(model: ModelParams, t: int, x: int, y: int) -> SignedSq
     return value
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms with a positive denominator."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
 @lru_cache(maxsize=2048)
 def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, int, tuple[int, ...]]:
     """What every kernel entry between times s and t shares: (lo, R, L, ratios).
@@ -64,8 +72,10 @@ def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, int,
     ratios[i - lo] / L = +-sqrt(R_i / R) is rational, negative when s < t:
     the ratios are integers over their least common denominator L.  Each
     step's square R_i / R_(i-1) is built from small integers and reduced
-    once, its root is the integer roots of its two terms, and the running
-    ratio is kept as a reduced integer pair.
+    once, and its root is the coprime pair of integer roots of its two terms.
+    The running ratio v / L is kept over its running least common
+    denominator, as the Hahn columns are (see ``_SliceBasis.scaled_column``):
+    with g = gcd(v root_num, root_den), L grows by root_den / g.
     """
     b_s = slice_basis(model, s)
     b_t = slice_basis(model, t)
@@ -88,8 +98,9 @@ def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, int,
     radicand = radicand / prod_c2 if s >= t else radicand * prod_c2
     # R_i / R_(i-1) from small integers: the norm ratios n_i / n_(i-1), and
     # prod c_i^2 / prod c_(i-1)^2 = u v / ((u + d) (v + d)), u = a+N-i, v = T+N-b-i.
-    r_num, r_den = 1, 1
-    ratios = [(r_num, r_den)]
+    cur, lcd = sign, 1
+    ratios = [cur]
+    marks = [(0, lcd)]
     for i in indices[1:]:
         u, v = a + N - i, T + N - b - i
         c2_num, c2_den = u * v, (u + d) * (v + d)
@@ -104,11 +115,16 @@ def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, int,
                 f"kernel terms {lo} and {i} between times {s} and {t}"
                 " have incompatible radicands"
             )
-        r_num, r_den = _reduced(r_num * root_num, r_den * root_den)
-        ratios.append((r_num, r_den))
-    lcd = lcm(*(r_den for _, r_den in ratios))
-    scaled = tuple(sign * r_num * (lcd // r_den) for r_num, r_den in ratios)
-    return lo, radicand, lcd, scaled
+        cur *= root_num
+        g = gcd(cur, root_den)
+        r = root_den // g
+        if r > 1:
+            lcd *= r
+            marks.append((len(ratios), lcd))
+        cur //= g
+        ratios.append(cur)
+    _rescale_stretches(ratios, marks, lcd)
+    return lo, radicand, lcd, tuple(ratios)
 
 
 def extended_kernel(

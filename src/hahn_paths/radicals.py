@@ -161,13 +161,20 @@ class SignedSqrt:
         return not self.is_zero()
 
     def __float__(self) -> float:
-        # Scale the exact square by an even power of two into [1/2, 4), so that
-        # a square outside the float range still gives its root when that is in
-        # range; the power-of-two steps are exact, so in range nothing changes.
-        square = self.square()
-        num, den = square.numerator, square.denominator
+        # The square is num / den with num = c_n^2 r_n and den = c_d^2 r_d from
+        # the reduced parts, not necessarily in lowest terms.  It is scaled by
+        # an even power of two 2^shift into [1/2, 4), so that a square outside
+        # the float range still gives its root when that is in range.  int / int
+        # is correctly rounded and the quotient is a normal float, so another
+        # representation of the same square, whose shift may differ by 2, gets
+        # the rounded quotient times an exact 4, the root times an exact 2, and
+        # ldexp rounds the same real number: the float does not depend on the
+        # representation, and in range it is the root of the rounded square.
+        coeff, radicand = self.coeff, self.radicand
+        num = coeff.numerator * coeff.numerator * radicand.numerator
         if not num:
             return 0.0
+        den = coeff.denominator * coeff.denominator * radicand.denominator
         shift = num.bit_length() - den.bit_length()
         shift -= shift % 2
         scaled = num / (den << shift) if shift >= 0 else (num << -shift) / den

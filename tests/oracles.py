@@ -3,9 +3,11 @@
 Each function here computes a quantity a second way, independently of the
 path the library takes: the terminating Hahn series and the closed-form
 norms against the recurrence columns and chained norms, the classical
-identities of the slice polynomials, recurrence columns and kernel pair
-tables stepped in Fractions against the library's reduced integer pairs,
-the four-case table of slice parameters against ``slice_params``'s closed
+identities of the slice polynomials, recurrence columns stepped in
+Fractions and in reduced integer pairs, and kernel pair tables stepped in
+Fractions, against the library's integers over a running least common
+denominator, the rounding of an exact root from its reduced square, the
+four-case table of slice parameters against ``slice_params``'s closed
 form, the determinantal transition law and the coupled transfer series, the
 limiting difference operator and the tangency of the inscribed ellipse, a
 gauge conjugation of kernel matrices, occupation tables from one
@@ -29,6 +31,7 @@ from math import cos, pi
 from hahn_paths import (
     BoundaryRegimeError,
     DegenerateParameterError,
+    FloatRangeError,
     IncompatibleRadicalsError,
     KernelMatrix,
     LimitRegime,
@@ -47,6 +50,7 @@ from hahn_paths.hahn import (
     pochhammer,
     slice_basis,
 )
+from hahn_paths.kernels import _reduced
 from hahn_paths.process import _validate_config, _vandermonde
 from hahn_paths.radicals import sqrt_fraction
 
@@ -348,6 +352,33 @@ def difference_relation_residual(model: ModelParams, t: int, k: int, x: int) -> 
     return lhs - rhs
 
 
+def fraction_column(basis, x: int, k: int) -> list[Fraction]:
+    """Q_0(x'), ..., Q_j(x') for some j >= k as Fractions, from ``basis.scaled_column``."""
+    den, ints = basis.scaled_column(x, k)
+    return [Fraction(v, den) for v in ints]
+
+
+def reduced_pair_column(model: ModelParams, t: int, x: int, k: int) -> tuple[int, list[int]]:
+    """(D, [D Q_0(x'), ..., D Q_k(x')]) stepped as reduced integer pairs, D their lcm.
+
+    Each step reduces the new value with one gcd on column-sized integers;
+    the library keeps the column over its running least common denominator.
+    """
+    p = slice_params(model, t)
+    xp = x - p.shift
+    prev, cur = (0, 1), (1, 1)
+    values = [cur]
+    for n in range(k):
+        b, e, c, d = _recurrence_coefficients(n, p.alpha, p.beta, p.M)
+        (prev_n, prev_d), (cur_n, cur_d) = prev, cur
+        prev, cur = cur, _reduced(
+            (b - e * xp) * cur_n * prev_d - c * prev_n * cur_d, d * cur_d * prev_d
+        )
+        values.append(cur)
+    lcd = math.lcm(*(v_d for _, v_d in values))
+    return lcd, [v_n * (lcd // v_d) for v_n, v_d in values]
+
+
 def recurrence_column(model: ModelParams, t: int, x: int, k: int) -> list[Fraction]:
     """Q_0(x'), ..., Q_k(x') by the three-term recurrence, one Fraction per step."""
     p = slice_params(model, t)
@@ -553,3 +584,18 @@ def pair_table_fractions(
     lcd = math.lcm(*(r.denominator for r in ratios))
     scaled = tuple(sign * r.numerator * (lcd // r.denominator) for r in ratios)
     return lo, radicand, lcd, scaled
+
+
+def float_via_square(value: SignedSqrt) -> float:
+    """float(value) from its reduced square, scaled by an even power of two into [1/2, 4)."""
+    square = value.square()
+    num, den = square.numerator, square.denominator
+    if not num:
+        return 0.0
+    shift = num.bit_length() - den.bit_length()
+    shift -= shift % 2
+    scaled = num / (den << shift) if shift >= 0 else (num << -shift) / den
+    try:
+        return value.sign * math.ldexp(math.sqrt(scaled), shift // 2)
+    except OverflowError:
+        raise FloatRangeError(f"|value| is about 2^{shift // 2}, above the float range") from None

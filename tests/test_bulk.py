@@ -7,6 +7,8 @@ import pytest
 import oracles
 from hahn_paths import (
     BoundaryRegimeError,
+    CorrelationQuery,
+    KernelMatrix,
     LimitKernelParams,
     LimitRegime,
     ModelParams,
@@ -44,6 +46,13 @@ PROBE_OFFSETS = [(dx, dt) for dx in range(-3, 4) for dt in range(-2, 3)]
 # evaluates at rho = 20, 40, 80 (N up to 80), computed before the kernel was
 # built from pair tables and recurrence columns.
 PROBE_DIGEST = "a014c29b5be971ec4a2af395e71bbad02ff382732d01cafa432f402e1611d17e"
+# SHA-256 of the repr of every prelimit float of the probe of CENTER and of
+# 1,0.5,2,0.7,0.9 at rho = 20, 40, 80, and of the float kernel matrix of
+# `kernel --model 20,20,40 --query 3:2,10:10,15:20,30:33`, computed before
+# kernel entries were rounded to float without reducing their square.  The
+# entries are rounded with integer arithmetic and math.sqrt; the prelimit
+# then divides by g**dt.
+PRELIMIT_DIGEST = "44290e9d4bbca2e3361bd356a3371bf21c9975bd957e199a8266f2feb2ec060c"
 
 
 def test_limit_params_center():
@@ -465,3 +474,15 @@ def test_probe_kernel_entries_are_pinned():
             sq = value.square()
             digest.update(f"{p};{q}:{value.sign}:{sq.numerator}/{sq.denominator}\n".encode())
     assert digest.hexdigest() == PROBE_DIGEST
+
+
+def test_prelimit_and_kernel_floats_are_pinned():
+    digest = hashlib.sha256()
+    for regime in (CENTER, LimitRegime(1, 0.5, 2, 0.7, 0.9)):
+        for row in convergence_probe(regime, PROBE_OFFSETS, [20, 40, 80]).rows:
+            for cell in row.cells:
+                digest.update(f"{row.rho};{cell.offset}:{cell.prelimit!r}\n".encode())
+    query = CorrelationQuery(((3, 2), (10, 10), (15, 20), (30, 33)))
+    for row in KernelMatrix.build(ModelParams(20, 20, 40), query).float_entries():
+        digest.update((",".join(map(repr, row)) + "\n").encode())
+    assert digest.hexdigest() == PRELIMIT_DIGEST

@@ -31,6 +31,7 @@ from oracles import (
     coupling_coefficient_sq,
     difference_relation_residual,
     dual_orthogonality_residual,
+    fraction_column,
     hahn_norm2,
     hahn_q,
 )
@@ -85,10 +86,11 @@ def test_slice_identities_sweep():
                 assert case_params(model, t, case) == param_tuple(p), (model, t, case)
             assert (p.shift, p.shift + p.M) == (max(0, t + S - T), min(t, S) + N - 1)
             dims.append(p.M)
-            # Every recurrence step a column takes divides by A_n != 0
-            # (_recurrence_coefficients raises on a zero A_n or denominator).
+            # Every recurrence step a column takes has d > 0, which keeps the
+            # column's denominator least (_recurrence_coefficients raises on
+            # d <= 0 or a zero denominator of A_n).
             for n in range(p.M):
-                assert _recurrence_coefficients(n, p.alpha, p.beta, p.M)[3] != 0
+                assert _recurrence_coefficients(n, p.alpha, p.beta, p.M)[3] > 0
         # K((x, s); (y, t)) multiplies c_i^j for j in [t, s) and i < N when
         # s >= t, and for j in [s, t) and N <= i <= min(M_s, M_t) when s < t.
         top = [N - 1] * T
@@ -146,7 +148,7 @@ def test_recurrence_columns_match_series():
     for model, t, x in cases:
         basis = slice_basis(model, t)
         p = basis.params
-        column = basis.column(x, p.M)
+        column = fraction_column(basis, x, p.M)
         assert len(column) == p.M + 1
         for k, value in enumerate(column):
             assert value == hahn_q(k, x - p.shift, p.alpha, p.beta, p.M), (model, t, x, k)
@@ -167,7 +169,7 @@ def test_stored_columns_are_integers_over_their_least_common_denominator():
                 assert len(ints) == k + 1 and den > 0, (model, t, x, k)
                 assert math.gcd(den, *ints) == 1, (model, t, x, k)
             if model.T <= 8:
-                for k, value in enumerate(basis.column(x, p.M)):
+                for k, value in enumerate(fraction_column(basis, x, p.M)):
                     assert value == hahn_q(k, x - p.shift, p.alpha, p.beta, p.M)
 
 
@@ -181,6 +183,9 @@ def test_recurrence_degenerate_step_raises():
     # A_1 = 0 through its factor n + alpha + 1 (alpha = -2): no division by zero.
     with pytest.raises(DegenerateParameterError):
         _recurrence_coefficients(1, -2, -7, 4)
+    # d = -12 < 0 (alpha + 1 > -M): the column step needs d > 0.
+    with pytest.raises(DegenerateParameterError):
+        _recurrence_coefficients(0, 0, -5, 3)
     basis = slice_basis(ModelParams(2, 1, 3), 1)
     with pytest.raises(ValueError):
         basis.q(basis.params.M + 1, basis.params.shift)

@@ -1,22 +1,34 @@
 """Property tests: closed forms and integer steps against their oracles on random inputs."""
 
+import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hahn_paths import IncompatibleRadicalsError, ModelParams, slice_params, slice_weight
+from hahn_paths import (
+    FloatRangeError,
+    IncompatibleRadicalsError,
+    ModelParams,
+    SignedSqrt,
+    slice_params,
+    slice_weight,
+)
 from hahn_paths import hahn
 from hahn_paths.hahn import _SliceBasis, slice_basis
 from hahn_paths.kernels import _pair_table, extended_kernel
 from oracles import (
     admissible_cases,
     case_params,
+    float_via_square,
+    fraction_column,
     hahn_q,
     pair_table_fractions,
     param_tuple,
     recurrence_column,
+    reduced_pair_column,
 )
 
 SIDE = 2000
@@ -48,7 +60,9 @@ def _model(data, n_max: int, t_max: int) -> ModelParams:
 @given(st.data())
 def test_integer_columns_equal_the_terminating_series(data):
     # A fresh basis extends the column twice, so the second extension
-    # resumes from stored integers and rescales them.
+    # resumes from stored integers and rescales them.  Both stages store the
+    # (D, integers) of the reduced-pair steps, with D the lcm of the reduced
+    # denominators of the values.
     model = _model(data, 60, 60)
     t = data.draw(st.integers(0, model.T), label="t")
     basis = _SliceBasis(model, t)
@@ -56,8 +70,12 @@ def test_integer_columns_equal_the_terminating_series(data):
     x = data.draw(st.sampled_from(basis.support), label="x")
     first = data.draw(st.integers(0, p.M), label="first")
     k = data.draw(st.integers(first, p.M), label="k")
-    basis.scaled_column(x, first)
-    column = basis.column(x, k)[: k + 1]
+    for stage in (first, k):
+        den, ints = basis.scaled_column(x, stage)
+        j = len(ints) - 1
+        assert (den, ints) == reduced_pair_column(model, t, x, j), stage
+        assert den == math.lcm(*(q.denominator for q in recurrence_column(model, t, x, j)))
+    column = fraction_column(basis, x, k)[: k + 1]
     assert column == recurrence_column(model, t, x, k)
     for j, value in enumerate(column):
         assert value == hahn_q(j, x - p.shift, p.alpha, p.beta, p.M), j
@@ -74,7 +92,11 @@ def _time_pair(data, model: ModelParams) -> tuple[int, int]:
 def test_pair_table_equals_the_fraction_steps(data):
     model = _model(data, 30, 40)
     s, t = _time_pair(data, model)
-    assert _pair_table(model, s, t) == pair_table_fractions(model, s, t)
+    table = _pair_table(model, s, t)
+    assert table == pair_table_fractions(model, s, t)
+    # L is the least common denominator of the ratios, as the oracle's lcm is.
+    _, _, lcd, ratios = table
+    assert math.gcd(lcd, *ratios) == 1
 
 
 def _fresh(table, model: ModelParams, s: int, t: int):
@@ -172,3 +194,51 @@ def test_weight_on_demand_equals_slice_weight(data):
             assert extended_kernel(model, (x, t), (lo, t)).is_zero()
     assert len(basis._weights) <= len(basis.support)
     assert set(basis._weights) <= set(basis.support)
+
+
+# Bit lengths of SignedSqrt parts, and log2 targets for the value: ordinary,
+# near the top of the float range, near 2^-1000 and in the subnormal range.
+_PART_BITS = st.integers(1, 8000)
+_TARGETS = st.one_of(
+    st.integers(-60, 60),
+    st.integers(990, 1030),
+    st.integers(-1030, -990),
+    st.integers(-1085, -1020),
+)
+
+
+def _part(data, label: str) -> int:
+    bits = data.draw(_PART_BITS, label=label)
+    return data.draw(st.integers(2 ** (bits - 1), 2**bits - 1), label=label + " value")
+
+
+def _float_or_error(value: SignedSqrt, rounding) -> float | type:
+    try:
+        return rounding(value)
+    except FloatRangeError:
+        return FloatRangeError
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_float_equals_rounding_the_reduced_square(data):
+    # Coefficient and radicand are reduced Fractions, but the square
+    # c_n^2 r_n / (c_d^2 r_d) need not be; the float must not depend on it,
+    # and must refuse exactly the values the reduced square refuses.
+    coeff = Fraction(_part(data, "coeff num"), _part(data, "coeff den"))
+    radicand = Fraction(_part(data, "rad num"), _part(data, "rad den"))
+    common = data.draw(st.integers(1, 2**64), label="common factor")
+    coeff *= Fraction(common, data.draw(st.integers(1, 2**64), label="coeff factor"))
+    radicand *= Fraction(data.draw(st.integers(1, 2**64), label="radicand factor"), common)
+    # Scale the coefficient by a power of two so that the value is near 2^target.
+    log2 = (
+        coeff.numerator.bit_length() - coeff.denominator.bit_length()
+        + (radicand.numerator.bit_length() - radicand.denominator.bit_length()) / 2
+    )
+    coeff *= Fraction(2) ** (data.draw(_TARGETS, label="target") - round(log2))
+    sign = data.draw(st.sampled_from([1, -1]), label="sign")
+    value = SignedSqrt(sign * coeff, radicand)
+    got = _float_or_error(value, float)
+    assert got == _float_or_error(value, float_via_square)
+    if got is not FloatRangeError:
+        assert math.copysign(1.0, got) == sign or got == 0.0
