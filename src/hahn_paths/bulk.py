@@ -11,8 +11,9 @@ to e^{i phi}" through +1 resp. -1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
+from fractions import Fraction
 from math import comb, cos, pi, sin
 
 from .combinatorics import ModelParams
@@ -59,12 +60,7 @@ class LimitRegime:
     @property
     def box_distances(self) -> tuple[float, float, float, float]:
         """Distances to the four x-constraints: x~, S~+N~-x~, t~+N~-x~, x~+T~-S~-t~."""
-        return (
-            self.xtilde,
-            self.Stilde + self.Ntilde - self.xtilde,
-            self.ttilde + self.Ntilde - self.xtilde,
-            self.xtilde + self.Ttilde - self.Stilde - self.ttilde,
-        )
+        return _box_distances(*astuple(self))
 
 
 @dataclass(frozen=True)
@@ -85,13 +81,19 @@ class LimitKernelParams:
         return self.phi / pi
 
 
+def _box_distances(nt, st, tt, t, x):
+    return x, st + nt - x, t + nt - x, x + tt - st - t
+
+
+def _arccos_parts(nt, st, tt, t, x):
+    """num and prod of the arccos argument D = num / (2 sqrt(prod)); exact on Fractions."""
+    _, d2, d3, d4 = _box_distances(nt, st, tt, t, x)
+    return -nt * (nt + tt) + d2 * d3 + x * d4, x * d2 * d3 * d4
+
+
 def arccos_argument(regime: LimitRegime) -> tuple[float, float]:
     """Numerator and (positive) denominator of the arccos argument D."""
-    nt, st, tt = regime.Ntilde, regime.Stilde, regime.Ttilde
-    t, x = regime.ttilde, regime.xtilde
-    num = -nt * (nt + tt) + (st + nt - x) * (t + nt - x) + x * (tt + x - st - t)
-    _, d2, d3, d4 = regime.box_distances
-    prod = x * d2 * d3 * d4
+    num, prod = _arccos_parts(*astuple(regime))
     den = 2.0 * math.sqrt(prod) if prod > 0 else 0.0
     return num, den
 
@@ -302,40 +304,11 @@ def extended_sine_kernel(
 # -- frozen-region geometry -------------------------------------------------
 
 
-def ellipse_form(ntilde: float, stilde: float, ttilde: float, t: float, x: float) -> float:
-    """The quadratic form whose negative set is the interior of the inscribed ellipse."""
-    return (
-        ttilde**2 * x**2
-        + (stilde + ntilde) ** 2 * t**2
-        + 2 * x * t * (ntilde * ttilde - stilde * ttilde - 2 * stilde * ntilde)
-        + 2
-        * t
-        * (
-            stilde * ntilde**2
-            - ntilde * ttilde * stilde
-            - ntilde**2 * ttilde
-            + stilde**2 * ntilde
-        )
-        + 2 * x * (ntilde * ttilde * stilde - ntilde * ttilde**2)
-        + ntilde**2 * (ttilde - stilde) ** 2
-    )
-
-
 def ellipse_classify(regime: LimitRegime) -> Region:
-    """INSIDE on the closed ellipse; otherwise frozen, split by the sign of D."""
-    form = ellipse_form(
-        regime.Ntilde, regime.Stilde, regime.Ttilde, regime.ttilde, regime.xtilde
-    )
-    if form <= 0:
+    """INSIDE where |D| <= 1 (num^2 <= 4 prod, exact on the floats); else frozen by D's sign."""
+    num, prod = _arccos_parts(*map(Fraction, astuple(regime)))
+    if num * num <= 4 * prod:
         return Region.INSIDE
-    num, den = arccos_argument(regime)
-    if den > 0:
-        d_value = num / den
-        if d_value >= 1.0 or (abs(d_value) < 1.0 and d_value > 0):
-            return Region.FROZEN_EMPTY
-        return Region.FROZEN_FULL
-    if num == 0:
-        raise BoundaryRegimeError(f"indeterminate frozen classification at {regime}")
     return Region.FROZEN_EMPTY if num > 0 else Region.FROZEN_FULL
 
 

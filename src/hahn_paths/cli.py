@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,11 +52,11 @@ EXIT_INPUT = 2
 LIMIT_MAX_DMAX = 10_000
 LIMIT_MAX_SIDE = 2200
 
-# Cost caps of `kernel`.  The side cap max(N, T) follows the printed integers:
-# an exact query of four points at four times near the centre of (n, n, 2n)
-# prints integers of 2364 digits at side 1600 and 2660 at 1800, and Python
-# refuses to print one of more than 4300.  That query takes 0.7 s on
-# (800, 800, 1600) and 2.6 s on (1600, 800, 1600).  A --static-t matrix has
+# Cost caps of `kernel`.  The side cap max(N, T) bounds the slice supports,
+# and with them the time of a query: four points at four times near the
+# centre of (n, n, 2n) take 0.7 s on (800, 800, 1600) and 2.6 s on
+# (1600, 800, 1600).  Printing does not bound it: the report is formatted
+# without Python's limit on int-to-string digits.  A --static-t matrix has
 # support^2 entries, each about 1.4 us times N + T^2/10^4 (an N-term dot
 # product, then rationals whose size grows with T); the work cap puts it near
 # 22 s: (150, 150, 300) at t = 150, work 1.43e7, takes 17-20 s (fresh
@@ -81,6 +82,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         _atomic_write(out, text)
+
+
+@contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int-to-string digit limit (3.10.7+) while exact output is formatted."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
 
 
 def _number(value, exact: bool) -> object:
@@ -237,18 +250,21 @@ def cmd_kernel(args) -> int:
         report["query"] = [{"x": x, "t": t} for x, t in query]
         report["kernel_matrix"] = kmatrix.float_entries()
         if exact:
-            report["kernel_matrix_exact"] = [
-                [{"coeff": str(v.coeff), "radicand": str(v.radicand)} for v in row]
-                for row in kmatrix.entries
-            ]
-            report["correlation"] = _number(kmatrix.determinant(), exact)
+            det = kmatrix.determinant()
+            with _unlimited_int_digits():
+                report["kernel_matrix_exact"] = [
+                    [{"coeff": str(v.coeff), "radicand": str(v.radicand)} for v in row]
+                    for row in kmatrix.entries
+                ]
+                report["correlation"] = _number(det, exact)
         else:
             rep = kmatrix.determinant_report()
             report["correlation"] = rep.value
             report["conditioning"] = {
                 "min_pivot": rep.min_pivot,
                 "max_pivot": rep.max_pivot,
-                "condition_hint": rep.condition_hint,
+                # JSON has no infinity: a zero pivot prints null.
+                "condition_hint": rep.condition_hint if rep.min_pivot else None,
             }
     elif args.query is not None:
         report["correlation"] = _number(Fraction(1), exact)

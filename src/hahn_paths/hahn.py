@@ -98,7 +98,14 @@ def _hahn_norm2_signed(k: int, alpha: int, beta: int, M: int) -> Fraction:
 
 
 def _norm_ratio(k: int, alpha: int, beta: int, M: int) -> tuple[int, int]:
-    """Numerator and denominator of n_k / n_(k-1) for the closed-form norms."""
+    """Numerator and denominator of n_k / n_(k-1) for the closed-form norms.
+
+    On a slice no factor is zero for 1 <= k <= M: with m = min(t, S) - lo <= T/2,
+    M = m + N - 1 and ab = alpha + beta = -T - 2N, every factor but k is <= -1:
+    k + ab + M + 1 and 2k + ab +- 1 are <= 2m - T - 1, k + ab <= -M - 2,
+    beta + k <= t + S - T - 2 lo - 1 <= -lo - 1, alpha + k <= min(t, S) -
+    max(t, S) - 1 and k - 1 - M <= -1.
+    """
     ab = alpha + beta
     num = -(k + ab + M + 1) * (beta + k) * k * (2 * k + ab - 1)
     den = (k + ab) * (2 * k + ab + 1) * (alpha + k) * (k - 1 - M)
@@ -237,33 +244,21 @@ class _SliceBasis:
         return Fraction(ints[k], den)
 
     def norm2(self, k: int) -> Fraction:
-        """Squared norm of Q_k w.r.t. the factorial-form weight.
-
-        Chained by the ratio n_k / n_(k-1) from a memoized n_(k-1); otherwise,
-        or across a zero factor, from the closed form (which raises if degenerate).
-        """
-        memo = self._norm_memo
-        value = memo.get(k)
-        if value is not None:
-            return value
-        p = self.params
-        if k - 1 in memo:
-            num, den = _norm_ratio(k, p.alpha, p.beta, p.M)
-            if den:
-                value = memo[k - 1] * Fraction(num, den)
+        """Squared norm of Q_k w.r.t. the factorial-form weight, from the closed form."""
+        value = self._norm_memo.get(k)
         if value is None:
+            p = self.params
             value = _hahn_norm2_signed(k, p.alpha, p.beta, p.M) / self.lam
-        memo[k] = value
+            self._norm_memo[k] = value
         return value
 
     def norm_step(self, k: int) -> tuple[int, int]:
-        """n_k / n_(k-1) as integers (num, den); across a zero factor, from the norms."""
+        """n_k / n_(k-1) as integers (num, den); a zero factor raises DegenerateParameterError."""
         p = self.params
         num, den = _norm_ratio(k, p.alpha, p.beta, p.M)
-        if num and den:
-            return num, den
-        step = self.norm2(k) / self.norm2(k - 1)
-        return step.numerator, step.denominator
+        if not (num and den):
+            raise DegenerateParameterError(f"zero factor in the norm ratio at k={k} for {p}")
+        return num, den
 
     def f(self, n: int, x: int) -> SignedSqrt:
         if x not in self.support:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import frexp, gcd, lcm, ldexp
 
 from .combinatorics import ModelParams, det_bareiss
 from .errors import FloatRangeError, IncompatibleRadicalsError
@@ -219,11 +219,12 @@ class DetReport:
 
 
 def _det_float_report(matrix: list[list[float]]) -> DetReport:
+    """Partial pivoting, with the pivot product kept as frexp parts so that it cannot overflow."""
     n = len(matrix)
     if n == 0:
         return DetReport(1.0, 0, 1.0, 1.0)
     m = [list(row) for row in matrix]
-    det = 1.0
+    mant, exp = 1.0, 0
     min_pivot = float("inf")
     max_pivot = 0.0
     for k in range(n):
@@ -232,16 +233,43 @@ def _det_float_report(matrix: list[list[float]]) -> DetReport:
             return DetReport(0.0, n, 0.0, max_pivot)
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
+            mant = -mant
         pivot = m[k][k]
-        det *= pivot
+        mant, mant_exp = frexp(mant * pivot)
+        exp += mant_exp
         min_pivot = min(min_pivot, abs(pivot))
         max_pivot = max(max_pivot, abs(pivot))
         for i in range(k + 1, n):
             factor = m[i][k] / pivot
             for j in range(k, n):
                 m[i][j] -= factor * m[k][j]
+    try:
+        det = ldexp(mant, exp)
+    except OverflowError:
+        raise FloatRangeError(f"the determinant is about 2^{exp}, above the float range") from None
     return DetReport(det, n, min_pivot, max_pivot)
+
+
+def _log2_size(value: SignedSqrt) -> float:
+    """log2 |value| to within 1.5, from the bit lengths of its exact parts."""
+    (c, d), (r, s) = value.coeff.as_integer_ratio(), value.radicand.as_integer_ratio()
+    return c.bit_length() - d.bit_length() + (r.bit_length() - s.bit_length()) / 2
+
+
+def _balanced(entries) -> tuple[tuple[SignedSqrt, ...], ...]:
+    """D K D^-1, scaled exactly, for D = diag(2^e_p) with e_p = -round(mean over q of
+    (log2|K(p;q)| - log2|K(q;p)|) / 2), over the q with both entries nonzero, or 0.
+    For K = D' A D'^-1 with |A| symmetric, D undoes D' up to rounding and a common factor."""
+    e = []
+    for p, row in enumerate(entries):
+        pairs = [(v, entries[q][p]) for q, v in enumerate(row) if v and entries[q][p]]
+        skew = sum(_log2_size(a) - _log2_size(b) for a, b in pairs)
+        e.append(-round(skew / (2 * len(pairs))) if pairs else 0)
+    two = Fraction(2)
+    return tuple(
+        tuple(SignedSqrt(v.coeff * two ** (e_p - e_q), v.radicand) for e_q, v in zip(e, row))
+        for e_p, row in zip(e, entries)
+    )
 
 
 @dataclass(frozen=True)
@@ -284,7 +312,10 @@ class KernelMatrix:
         return matrix
 
     def determinant_report(self) -> DetReport:
-        return _det_float_report(self.float_entries())
+        """Float determinant and pivots of the balanced matrix, which has K's determinant;
+        balancing brings entries between far-apart times, hundreds of decades apart, near 1."""
+        balanced = KernelMatrix(self.model, self.points, _balanced(self.entries))
+        return _det_float_report(balanced.float_entries())
 
 
 def correlation(

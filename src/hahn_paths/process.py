@@ -55,16 +55,22 @@ def _normalization(model: ModelParams, t: int) -> Fraction:
     return z
 
 
-def slice_distribution(model: ModelParams, t: int, z: tuple[int, ...]) -> Fraction:
-    """Probability of the configuration z at time t, exactly."""
-    z = tuple(z)
+def _inside(model: ModelParams, t: int, z: tuple[int, ...]) -> bool:
+    """Whether z lies in the time-t support; ValueError unless it is N increasing positions."""
     if len(z) != model.N:
         raise ValueError(f"configuration has {len(z)} points, expected {model.N}")
     if any(b <= a for a, b in zip(z, z[1:])):
         raise ValueError(f"configuration must be strictly increasing: {z}")
-    basis = slice_basis(model, t)
-    if any(x not in basis.support for x in z):
+    support = slice_params(model, t).support
+    return all(x in support for x in z)
+
+
+def slice_distribution(model: ModelParams, t: int, z: tuple[int, ...]) -> Fraction:
+    """Probability of the configuration z at time t, exactly."""
+    z = tuple(z)
+    if not _inside(model, t, z):
         return Fraction(0)
+    basis = slice_basis(model, t)
     w_prod = Fraction(1)
     for x in z:
         w_prod *= basis.weight(x)
@@ -72,12 +78,7 @@ def slice_distribution(model: ModelParams, t: int, z: tuple[int, ...]) -> Fracti
 
 
 def _validate_config(model: ModelParams, t: int, z: tuple[int, ...]) -> None:
-    if len(z) != model.N:
-        raise ValueError(f"configuration has {len(z)} points, expected {model.N}")
-    if any(b <= a for a, b in zip(z, z[1:])):
-        raise ValueError(f"configuration must be strictly increasing: {z}")
-    support = slice_basis(model, t).support
-    if any(x not in support for x in z):
+    if not _inside(model, t, z):
         raise ValueError(f"configuration {z} not inside the time-{t} support")
 
 
@@ -105,7 +106,7 @@ def transfer_matrix(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:
     N, S, T = model.N, model.S, model.T
     if not 0 <= t <= T - 1:
         raise ValueError(f"t={t} outside 0..{T - 1}")
-    if x not in slice_basis(model, t).support or y not in slice_basis(model, t + 1).support:
+    if x not in slice_params(model, t).support or y not in slice_params(model, t + 1).support:
         return SignedSqrt.zero()
     den = (t + N) * (T + N - t - 1)
     if y == x + 1:

@@ -105,19 +105,6 @@ class SignedSqrt:
             return SignedSqrt(self.coeff * other, self.radicand)
         return NotImplemented
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> SignedSqrt:
-        if isinstance(other, SignedSqrt):
-            if other.is_zero():
-                raise ZeroDivisionError("division by zero SignedSqrt")
-            return SignedSqrt(
-                self.coeff / (other.coeff * other.radicand), self.radicand * other.radicand
-            )
-        if isinstance(other, (int, Fraction)):
-            return SignedSqrt(self.coeff / other, self.radicand)
-        return NotImplemented
-
     def __add__(self, other) -> SignedSqrt:
         if isinstance(other, (int, Fraction)):
             other = SignedSqrt(Fraction(other))
@@ -133,8 +120,6 @@ class SignedSqrt:
                 f"cannot add sqrt({self.radicand}) and sqrt({other.radicand})"
             )
         return SignedSqrt(self.coeff + other.coeff * ratio, self.radicand)
-
-    __radd__ = __add__
 
     def __sub__(self, other) -> SignedSqrt:
         if isinstance(other, (int, Fraction)):
@@ -153,9 +138,6 @@ class SignedSqrt:
             sign = 1 if other_f > 0 else (-1 if other_f < 0 else 0)
             return self.sign == sign and self.square() == other_f * other_f
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.sign, self.square()))
 
     def __bool__(self) -> bool:
         return not self.is_zero()

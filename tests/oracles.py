@@ -461,10 +461,9 @@ def limit_tridiagonal(regime: LimitRegime) -> tuple[float, float]:
     return a_diag, math.sqrt(prod)
 
 
-def ellipse_tangency_discriminants(
-    ntilde: float, stilde: float, ttilde: float
-) -> list[float]:
-    """Discriminant of the form restricted to each hexagon side (0 iff tangent)."""
+def _ellipse_coefficients(ntilde, stilde, ttilde) -> tuple:
+    """(axx, att, axt, at, ax, c0) of the quadratic form in (t~, x~) that is
+    negative exactly inside the inscribed ellipse."""
     axx = ttilde**2
     att = (stilde + ntilde) ** 2
     axt = 2 * (ntilde * ttilde - stilde * ttilde - 2 * stilde * ntilde)
@@ -476,6 +475,20 @@ def ellipse_tangency_discriminants(
     )
     ax = 2 * (ntilde * ttilde * stilde - ntilde * ttilde**2)
     c0 = ntilde**2 * (ttilde - stilde) ** 2
+    return axx, att, axt, at, ax, c0
+
+
+def ellipse_polynomial(ntilde, stilde, ttilde, t, x):
+    """The ellipse form at (t~, x~); exact on Fractions."""
+    axx, att, axt, at, ax, c0 = _ellipse_coefficients(ntilde, stilde, ttilde)
+    return axx * x * x + att * t * t + axt * x * t + at * t + ax * x + c0
+
+
+def ellipse_tangency_discriminants(
+    ntilde: float, stilde: float, ttilde: float
+) -> list[float]:
+    """Discriminant of the form restricted to each hexagon side (0 iff tangent)."""
+    axx, att, axt, at, ax, c0 = _ellipse_coefficients(ntilde, stilde, ttilde)
     # The six boundary lines of the admissible region in (t~, x~) coordinates:
     # ("t", c, 0) is the vertical line t~ = c, ("x", p, q) the line x~ = p t~ + q.
     sides = [
@@ -510,7 +523,7 @@ def gauge_transform(matrix: KernelMatrix, gauge) -> KernelMatrix:
     if any(f == 0 for f in factors):
         raise ValueError("gauge function vanishes at a queried point")
     rows = tuple(
-        tuple(value * fi / fj for fj, value in zip(factors, row))
+        tuple(value * (fi / fj) for fj, value in zip(factors, row))
         for fi, row in zip(factors, matrix.entries)
     )
     return KernelMatrix(matrix.model, matrix.points, rows)
@@ -539,12 +552,9 @@ def oracle_tables(model: ModelParams) -> tuple[int, Counter, Counter]:
 
 
 def _fraction_norm_step(basis, k: int) -> Fraction:
-    """n_k / n_(k-1) of a slice basis as a Fraction; across a zero factor, from the norms."""
+    """n_k / n_(k-1) of a slice basis as a Fraction."""
     p = basis.params
-    num, den = hahn_module._norm_ratio(k, p.alpha, p.beta, p.M)
-    if num and den:
-        return Fraction(num, den)
-    return basis.norm2(k) / basis.norm2(k - 1)
+    return Fraction(*hahn_module._norm_ratio(k, p.alpha, p.beta, p.M))
 
 
 def pair_table_fractions(

@@ -23,7 +23,6 @@ from hahn_paths import (
     convergence_probe,
     correlation,
     ellipse_classify,
-    ellipse_form,
     enumerate_path_families,
     limit_params,
     particle_hole_duality_residual,
@@ -254,9 +253,9 @@ def test_criterion_6_frozen_regions():
         lo = max(0.0, t + shape[1] - shape[2])
         hi = min(t, shape[1]) + shape[0]
         x = rng.uniform(lo, hi)
-        if ellipse_form(*shape, t, x) <= 0:
-            continue
         regime = LimitRegime(*shape, t, x)
+        if ellipse_classify(regime) is Region.INSIDE:
+            continue
         num, den = arccos_argument(regime)
         if den == 0 or abs(num / den) < FROZEN_MARGIN:
             continue

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+from fractions import Fraction
 from math import pi
 
 import pytest
@@ -19,7 +21,6 @@ from hahn_paths import (
     amplitude_inversion,
     convergence_probe,
     ellipse_classify,
-    ellipse_form,
     extended_kernel,
     extended_sine_kernel,
     limit_params,
@@ -315,15 +316,15 @@ def test_pole_on_contour_signal():
     assert math.isfinite(extended_sine_kernel(LimitKernelParams(0.9, 1.2), 0, -1, Side.LEFT))
 
 
-def test_ellipse_form_center_value():
-    assert ellipse_form(1, 1, 2, 1, 1) == pytest.approx(-3.0)
-
-
-def test_ellipse_form_is_squared_arccos_deficit():
-    for t, x in [(0.7, 0.9), (1.2, 1.5), (0.5, 0.4), (1.5, 1.9)]:
-        reg = LimitRegime(1, 1, 2, t, x)
-        num, den = arccos_argument(reg)
-        assert ellipse_form(1, 1, 2, t, x) == pytest.approx(num * num - den * den, rel=1e-9)
+def test_ellipse_polynomial_is_squared_arccos_deficit():
+    # The oracle's tangency polynomial is num^2 - den^2 = num^2 - 4 prod as a
+    # polynomial, so the six-side tangency checks test the classifier's form.
+    assert oracles.ellipse_polynomial(1, 1, 2, 1, 1) == -3
+    rng = random.Random(18)
+    for _ in range(300):
+        values = [Fraction(rng.randrange(-400, 400), rng.randrange(1, 40)) for _ in range(5)]
+        num, prod = bulk._arccos_parts(*values)
+        assert oracles.ellipse_polynomial(*values) == num * num - 4 * prod, values
 
 
 def test_ellipse_classification():

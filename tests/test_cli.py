@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -50,10 +51,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=_no_constant)
 
 
 def test_enumerate_counts(capsys):
@@ -151,6 +156,44 @@ def test_kernel_float_mode_reports_conditioning(capsys):
     )
     assert "conditioning" in doc
     assert doc["conditioning"]["condition_hint"] >= 1.0
+
+
+def test_kernel_float_mode_singular_query_prints_null_condition_hint(capsys):
+    # (2, 0) is off the time-0 support, so its row of the matrix is zero.
+    doc = run_json(capsys, "kernel", "--model", "2,2,4", "--mode", "float", "--query", "0:0,2:0")
+    assert doc["correlation"] == 0.0
+    assert doc["conditioning"]["min_pivot"] == 0.0
+    assert doc["conditioning"]["condition_hint"] is None
+
+
+# Points (600 + 40i, 600 + 50i), i < k, on (800, 800, 1600): entries between far
+# apart times span about 1e-141 to 1e134, and the exact correlations' rationals
+# have more digits than Python's default 4300-digit print limit.
+FAR_CORRELATIONS = {8: 0.04005789061648129, 10: 0.018400244219305535}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_kernel_far_apart_times(capsys, mode):
+    limit = sys.get_int_max_str_digits()
+    for k, want in FAR_CORRELATIONS.items():
+        query = ",".join(f"{600 + 40 * i}:{600 + 50 * i}" for i in range(k))
+        doc = run_json(capsys, "kernel", "--model", "800,800,1600", "--query", query,
+                       "--mode", mode)
+        if mode == "exact":
+            assert doc["correlation"]["decimal"] == want
+            assert len(doc["correlation"]["rational"]) > limit
+        else:
+            assert doc["correlation"] == pytest.approx(want, abs=1e-12)
+            assert 1.0 <= doc["conditioning"]["condition_hint"] < 10.0
+            # The printed matrix stays unbalanced.
+            assert max(abs(v) for row in doc["kernel_matrix"] for v in row) > 1e100
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_kernel_parses_inputs_under_the_int_digit_limit(capsys):
+    code, _, err = run(capsys, "kernel", "--model", "9" * 5000 + ",1,2", "--query", "0:0")
+    assert code == 2
+    assert "limit" in err
 
 
 def test_kernel_invalid_query_exit_2(capsys):

@@ -16,6 +16,7 @@ from hahn_paths import (
 from hahn_paths.hahn import (
     _SliceBasis,
     _hahn_norm2_signed,
+    _norm_ratio,
     _pochhammer_weight,
     _recurrence_coefficients,
     _scaled_numerator,
@@ -91,6 +92,11 @@ def test_slice_identities_sweep():
             # d <= 0 or a zero denominator of A_n).
             for n in range(p.M):
                 assert _recurrence_coefficients(n, p.alpha, p.beta, p.M)[3] > 0
+            # No factor of a norm ratio is zero (_SliceBasis.norm_step raises
+            # DegenerateParameterError on one).
+            for k in range(1, p.M + 1):
+                num, den = _norm_ratio(k, p.alpha, p.beta, p.M)
+                assert num and den, (model, t, k)
         # K((x, s); (y, t)) multiplies c_i^j for j in [t, s) and i < N when
         # s >= t, and for j in [s, t) and N <= i <= min(M_s, M_t) when s < t.
         top = [N - 1] * T
@@ -189,27 +195,6 @@ def test_recurrence_degenerate_step_raises():
     basis = slice_basis(ModelParams(2, 1, 3), 1)
     with pytest.raises(ValueError):
         basis.q(basis.params.M + 1, basis.params.shift)
-
-
-def test_norm_chain_equals_closed_form():
-    # Norms chained forward by the ratio n_k / n_(k-1) (increasing and
-    # middle-out order), or each from the closed form when no n_(k-1) is
-    # memoized (decreasing order), equal the closed form on every slice of
-    # N <= 8, S <= T <= 16.
-    for model in sweep_models(8, 16):
-        for t in range(model.T + 1):
-            p = slice_params(model, t)
-            mid = min(model.N, p.M)
-            orders = (
-                range(p.M + 1),
-                range(p.M, -1, -1),
-                [*range(mid, p.M + 1), *range(mid - 1, -1, -1)],
-            )
-            for order in orders:
-                basis = _SliceBasis(model, t)
-                for k in order:
-                    closed = _hahn_norm2_signed(k, p.alpha, p.beta, p.M) / basis.lam
-                    assert basis.norm2(k) == closed, (model, t, k)
 
 
 def test_norm_examples():

@@ -8,6 +8,7 @@ import pytest
 from conftest import small_sweep, sweep_models
 from hahn_paths import (
     CorrelationQuery,
+    FloatRangeError,
     KernelMatrix,
     ModelParams,
     SignedSqrt,
@@ -19,7 +20,7 @@ from hahn_paths import (
     transfer_matrix,
 )
 from hahn_paths.hahn import slice_basis
-from hahn_paths.kernels import _det_float_report, _gauge, _pair_table
+from hahn_paths.kernels import _balanced, _det_float_report, _gauge, _pair_table
 from oracles import coupling_coefficient_sq, gauge_transform, hahn_q, oracle_tables
 
 # SHA-256 of the exact correlations of CORRELATION_QUERIES on (20,20,40),
@@ -364,6 +365,38 @@ def test_det_float_report_branches(matrix, value, hint):
     assert report.value == value
     assert report.size == len(matrix)
     assert report.condition_hint == hint
+
+
+def test_det_float_report_keeps_the_pivot_product_in_range():
+    # The running product 1e300 * 1e300 is above the float range, the determinant is not.
+    matrix = [[1e300, 0.0, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 1e-300]]
+    assert _det_float_report(matrix).value == pytest.approx(1e300, rel=1e-15)
+    with pytest.raises(FloatRangeError, match="determinant"):
+        _det_float_report([[1e300, 0.0], [0.0, 1e300]])
+
+
+def test_balancing_undoes_a_power_of_two_conjugation():
+    # K = D A D^-1 with D = diag(2^d), A symmetric: balancing leaves A up to a
+    # conjugation by powers of two that differ by at most 1.
+    rng = random.Random(3)
+    d = [0, 170, -90, 400, 3]
+    a = [[None] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i, 5):
+            a[i][j] = a[j][i] = Fraction(rng.randrange(1, 10**6), rng.randrange(1, 10**6))
+    entries = [
+        [SignedSqrt(a[p][q] * Fraction(2) ** (d[p] - d[q]), 1) for q in range(5)]
+        for p in range(5)
+    ]
+    scales = {v.coeff / a[p][q] for p, row in enumerate(_balanced(entries)) for q, v in enumerate(row)}
+    assert scales <= {Fraction(1, 2), 1, 2}
+    # A pair with a zero entry is left out; a row with no pair left is not scaled.
+    assert _balanced([[SignedSqrt(0), SignedSqrt(2**40)], [SignedSqrt(0), SignedSqrt(0)]]) == (
+        (SignedSqrt(0), SignedSqrt(2**40)), (SignedSqrt(0), SignedSqrt(0))
+    )
+    assert _balanced([[SignedSqrt(1), SignedSqrt(2**40)], [SignedSqrt(2**-40), SignedSqrt(1)]]) == (
+        (SignedSqrt(1), SignedSqrt(1)), (SignedSqrt(1), SignedSqrt(1))
+    )
 
 
 def test_out_of_support_entries_vanish():

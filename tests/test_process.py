@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from conftest import small_sweep, sweep_models
+from hahn_paths import process
 from hahn_paths import (
     ModelParams,
     SamplerSizeError,
@@ -174,6 +175,21 @@ def test_transition_table_cache_is_bounded():
         assert cache.cache_info().maxsize == 1024
     # Kernel pair tables: above the 41 * 41 time pairs of (20,20,40).
     assert _pair_table.cache_info().maxsize == 2048
+
+
+def test_transitions_read_supports_without_a_slice_basis(monkeypatch):
+    def fail(*args):
+        raise AssertionError("slice basis built")
+
+    monkeypatch.setattr(process, "slice_basis", fail)
+    m = ModelParams(2, 2, 4)
+    assert transition_probability(m, 1, (0, 1), (1, 2)) > 0
+    with pytest.raises(ValueError, match="not inside the time-1 support"):
+        transition_probability(m, 1, (0, 4), (1, 4))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        transition_probability(m, 1, (1, 1), (1, 2))
+    assert transfer_matrix(ModelParams(1, 1, 2), 0, 0, 1) == SignedSqrt(1, Fraction(1, 2))
+    assert transfer_matrix(m, 0, 2, 3).is_zero()
 
 
 def test_transfer_matrix_examples():

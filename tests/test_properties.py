@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hahn_paths import (
+    DegenerateParameterError,
     FloatRangeError,
     IncompatibleRadicalsError,
     ModelParams,
@@ -126,25 +127,25 @@ def _table_index(data, model: ModelParams, s: int, t: int) -> int:
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_pair_table_across_zero_factor_indices(data):
+def test_pair_table_refuses_a_zero_norm_factor(data):
     # No slice of a valid model has a closed-form norm ratio with a zero
-    # factor, so one is forced: a zero denominator at the drawn indices sends
-    # both the norm chain and the pair-table step through the norms, which
-    # must give the same table as the unforced one.
+    # factor (test_slice_identities_sweep), so one is forced at a step the
+    # table takes: the table refuses it by name.
     model = _model(data, 12, 16)
     s, t = _time_pair(data, model)
-    want = pair_table_fractions(model, s, t)
-    zero_at = {_table_index(data, model, s, t)}
-    zero_at |= data.draw(st.sets(st.integers(1, 2 * model.N + model.T)), label="more")
+    at = _table_index(data, model, s, t)
+    zero_numerator = data.draw(st.booleans(), label="zero numerator")
     ratio = hahn._norm_ratio
 
     def forced(k, alpha, beta, M):
         num, den = ratio(k, alpha, beta, M)
-        return (num, 0) if k in zero_at else (num, den)
+        if k != at:
+            return num, den
+        return (0, den) if zero_numerator else (num, 0)
 
     with _norm_ratio_replaced(forced):
-        assert _fresh(_pair_table, model, s, t) == want
-        assert _fresh(pair_table_fractions, model, s, t) == want
+        with pytest.raises(DegenerateParameterError):
+            _fresh(_pair_table, model, s, t)
 
 
 @settings(max_examples=60, deadline=None)
