@@ -34,7 +34,12 @@ from .combinatorics import (
     enumerate_path_families,
     share_through,
 )
-from .errors import HahnPathsError, PoleOnContourError, ResourceLimitError
+from .errors import (
+    FloatRangeError,
+    HahnPathsError,
+    PoleOnContourError,
+    ResourceLimitError,
+)
 from .hahn import slice_params
 from .kernels import CorrelationQuery, KernelMatrix, static_kernel
 from .process import sample_trajectory
@@ -102,6 +107,14 @@ def _number(value, exact: bool) -> object:
         frac = Fraction(value)
         return {"decimal": float(frac), "rational": f"{frac.numerator}/{frac.denominator}"}
     return float(value)
+
+
+def _float_or_null(value) -> float | None:
+    """float(value), or None where it lies beyond the float range."""
+    try:
+        return float(value)
+    except FloatRangeError:
+        return None
 
 
 def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
@@ -248,7 +261,8 @@ def cmd_kernel(args) -> int:
     if query:
         kmatrix = KernelMatrix.build(model, CorrelationQuery(tuple(query)))
         report["query"] = [{"x": x, "t": t} for x, t in query]
-        report["kernel_matrix"] = kmatrix.float_entries()
+        # JSON has no infinity: an entry beyond the float range prints null.
+        report["kernel_matrix"] = [[_float_or_null(v) for v in row] for row in kmatrix.entries]
         if exact:
             det = kmatrix.determinant()
             with _unlimited_int_digits():

@@ -258,13 +258,23 @@ def _log2_size(value: SignedSqrt) -> float:
 
 def _balanced(entries) -> tuple[tuple[SignedSqrt, ...], ...]:
     """D K D^-1, scaled exactly, for D = diag(2^e_p) with e_p = -round(mean over q of
-    (log2|K(p;q)| - log2|K(q;p)|) / 2), over the q with both entries nonzero, or 0.
-    For K = D' A D'^-1 with |A| symmetric, D undoes D' up to rounding and a common factor."""
+    (log2|K(p;q)| - log2|K(q;p)|) / 2), over the q with K(p;q) or K(q;p) nonzero, or 0.
+    For K = D' A D'^-1 with |A| symmetric, D undoes D' up to rounding and a common factor.
+    A zero entry whose mirror is not counts as the mirror's reciprocal, which brings
+    the mirror near 1; a row with no pair of nonzero entries, not even its diagonal,
+    has no size to keep and is not scaled."""
     e = []
     for p, row in enumerate(entries):
-        pairs = [(v, entries[q][p]) for q, v in enumerate(row) if v and entries[q][p]]
-        skew = sum(_log2_size(a) - _log2_size(b) for a, b in pairs)
-        e.append(-round(skew / (2 * len(pairs))) if pairs else 0)
+        skews = []
+        anchored = False
+        for q, v in enumerate(row):
+            w = entries[q][p]
+            if v and w:
+                skews.append(_log2_size(v) - _log2_size(w))
+                anchored = True
+            elif v or w:
+                skews.append(2 * _log2_size(v) if v else -2 * _log2_size(w))
+        e.append(-round(sum(skews) / (2 * len(skews))) if anchored else 0)
     two = Fraction(2)
     return tuple(
         tuple(SignedSqrt(v.coeff * two ** (e_p - e_q), v.radicand) for e_q, v in zip(e, row))

@@ -2,20 +2,28 @@
 
 Slice distributions are squared-Vandermonde ensembles with the slice weight;
 one-step transitions have an exact product form, and the transfer matrix
-between consecutive slices a closed bidiagonal form.  The sampler
-walks the move vectors depth-first, pruning a branch as soon as a path leaves
-the next support or touches its neighbour (a step of weight <= 0 always leaves
-the next support), so only admissible moves are built; each carries the integer
-weight Delta(y) prod_i a_i(eps_i), and one 64-bit draw selects a move by an
-integer comparison against the cumulative weights.
+between consecutive slices a closed bidiagonal form.  The sampler's
+transition table from x is built over run holes: x splits into maximal runs
+p..q-1 of adjacent particles, each with the interval J = [p, q], and every
+admissible successor y meets J in J minus one hole, below which the particles
+stay and from which on they rise.  So the table is the product of one hole
+per run, at most prod_b |J_b| entries (a hole that puts a particle outside
+the next support is left out; a step of weight <= 0 always does).  Each
+entry carries the integer weight Delta(y) prod_i a_i(eps_i), built from one
+factor per run and hole and the Vandermonde of the holes, and one 64-bit
+draw selects a move by an integer comparison against the cumulative weights.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from math import gcd, prod
+from operator import floordiv, mul, sub
 
 from .combinatorics import ModelParams, Trajectory
 from .errors import SamplerSizeError, TransitionRowSumError
@@ -118,48 +126,140 @@ def transfer_matrix(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:
     return SignedSqrt.sqrt(Fraction(num, den))
 
 
+def _runs(positions: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The maximal runs p..q-1 of consecutive positions, as their intervals [p, q]."""
+    runs = []
+    p = prev = positions[0]
+    for x in positions[1:]:
+        if x <= prev:
+            raise ValueError(f"configuration must be strictly increasing: {positions}")
+        if x != prev + 1:
+            runs.append((p, prev + 1))
+            p = x
+        prev = x
+    runs.append((p, prev + 1))
+    return tuple(runs)
+
+
+def _repeat_each(items, n: int):
+    """Each item of ``items`` n times in a row."""
+    return chain.from_iterable(zip(*[items] * n))
+
+
+class _Successors(Sequence):
+    """The successors y of one transition row, decoded on demand.
+
+    Index i is the mixed-radix number whose digits pick one hole per run, the
+    first run most significant; each decoded y is kept in ``memo``, so a
+    sampler step that finds it there makes no Python call.
+    """
+
+    __slots__ = ("memo", "_runs", "_holes")
+
+    def __init__(self, runs: tuple[tuple[int, int], ...], holes: tuple[tuple[int, ...], ...]):
+        self._runs = runs
+        self._holes = holes
+        self.memo: list[tuple[int, ...] | None] = [None] * prod(len(h) for h in holes)
+
+    def __len__(self) -> int:
+        return len(self.memo)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        y = self.memo[i]
+        if y is None:
+            i %= len(self.memo)
+            rest, chosen = i, []
+            for hs in reversed(self._holes):
+                rest, d = divmod(rest, len(hs))
+                chosen.append(hs[d])
+            z: list[int] = []
+            for (p, q), h in zip(self._runs, reversed(chosen)):
+                z.extend(range(p, h))
+                z.extend(range(h + 1, q + 1))
+            y = self.memo[i] = tuple(z)
+        return y
+
+
 @lru_cache(maxsize=1024)
 def _transition_table(
     model: ModelParams, t: int, positions: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+) -> tuple[_Successors, tuple[int, ...]]:
     """Admissible successors of ``positions`` and their cumulative integer weights.
 
     Successors come in eps-lexicographic order (eps_1 most significant, 0
     before 1).  The weight of y = x + eps is Delta(y) prod_i a_i(eps_i), with
     a_i(1) = N+S-x_i-1 and a_i(0) = x_i+T-t-S, so P(y | x) is the weight over
     the row total Delta(x) (T-t)_N, which the last cumulative weight must equal.
+
+    A run p..q-1 of x has the interval J = [p, q], and y meets J in J minus one
+    hole h: the particles below h stay, the rest rise.  A hole is admissible
+    when J minus h lies in the next support, so the table is the product of the
+    runs' admissible holes, run by run from the bottom and, within a run, from
+    h = q down to h = p.  Let U be the union of the J, H the chosen holes, Tops
+    the q of the runs and Q(h) the product of |u - h| over u in U - {h}.  Then
+    Delta(y) = Delta(U) Delta(H) / prod_H Q(h), and x itself has the holes
+    Tops, so Delta(y) = Delta(x) Delta(H) / Delta(Tops) prod_b Q(q_b) / Q(h_b).
+    Moving a hole from g to g + 1 multiplies Q by |bot(g)| / |top(g)|, with
+    bot(g) = prod_c (g + 1 - p_c) and top(g) = prod_c (g - q_c), so the weight
+    is Delta(x) / (Delta(Tops) prod_x |top(g)|) Delta(H) prod_b psi_b(h_b),
+    where the integer psi_b(h) is the product over the run's particles g of
+    a_g(0) |top(g)| below h and a_g(1) |bot(g)| from h on.
     """
     N, S, T = model.N, model.S, model.T
     nxt = slice_params(model, t + 1)
     lo, hi = nxt.support_lo, nxt.support_hi
-    candidates = []
-    cum = []
-    total = 0
+    runs = _runs(positions)
+    starts = [p for p, _ in runs]
+    tops = [q for _, q in runs]
+    top = [abs(prod(map(sub, repeat(g), tops))) for g in positions]
+    bot = [abs(prod(map(sub, repeat(g + 1), starts))) for g in positions]
+    stay = [(g + T - t - S) * f for g, f in zip(positions, top)]
+    rise = [(N + S - 1 - g) * f for g, f in zip(positions, bot)]
+    spread = delta_x = _vandermonde(positions)
+    scale = _vandermonde(tops) * prod(top)
+    holes, factors = [], []
+    i = 0
+    for p, q in runs:
+        below = list(accumulate(stay[i : i + q - p], mul, initial=1))
+        above = list(accumulate(reversed(rise[i : i + q - p]), mul, initial=1))
+        i += q - p
+        hs = [h for h in range(q, p - 1, -1) if p + (h == p) >= lo and q - (h == q) <= hi]
+        psi = [below[h - p] * above[q - h] for h in hs]
+        g = gcd(*psi)
+        if g > 1:
+            psi = [f // g for f in psi]
+            spread *= g
+        holes.append(tuple(hs))
+        factors.append(psi)
+    g = gcd(spread, scale)
+    spread //= g
+    scale //= g
 
-    def walk(y: tuple[int, ...], weight: int) -> None:
-        nonlocal total
-        i = len(y)
-        if i == N:
-            total += weight
-            candidates.append(y)
-            cum.append(total)
-            return
-        xi = positions[i]
-        last = y[-1] if y else lo - 1
-        for yi, a in ((xi, xi + T - t - S), (xi + 1, N + S - xi - 1)):
-            if not last < yi <= hi:
-                continue
-            for yj in y:
-                a *= yi - yj
-            walk(y + (yi,), weight * a)
-
-    walk((), 1)
-    row = _vandermonde(positions) * pochhammer(T - t, N)
+    # Breadth first over the runs: weights[k] for each choice k of holes in
+    # the runs so far (mixed radix, the first run most significant) and, for
+    # every later run c, tails[c][k n_c + j] = psi_c(h_j) times the product
+    # of h_j - h over the holes h of k.
+    weights = [spread]
+    tails = factors
+    for b, hs in enumerate(holes):
+        weights = list(map(mul, _repeat_each(weights, len(hs)), tails[b]))
+        for c in range(b + 1, len(holes)):
+            us = holes[c]
+            rows = list(zip(*[iter(tails[c])] * len(us)))
+            gaps = [u - h for h in hs for u in us]
+            tails[c] = list(
+                map(mul, chain.from_iterable(_repeat_each(rows, len(hs))), gaps * len(rows))
+            )
+    cum = list(accumulate(weights))
+    if scale != 1:
+        cum = list(map(floordiv, cum, repeat(scale)))
+    total = cum[-1] if cum else 0
+    row = delta_x * pochhammer(T - t, N)
     if total != row:
         raise TransitionRowSumError(
             f"transition row sum {total} != {row} at t={t}, x={positions}"
         )
-    return tuple(candidates), tuple(cum)
+    return _Successors(runs, tuple(holes)), tuple(cum)
 
 
 def sample_trajectory(model: ModelParams, seed: int) -> Trajectory:
@@ -181,6 +281,7 @@ def sample_trajectory(model: ModelParams, seed: int) -> Trajectory:
     history = [positions]
     for t in range(model.T):
         candidates, cum = _transition_table(model, t, positions)
-        positions = candidates[bisect_right(cum, (rng.getrandbits(64) * cum[-1]) >> 64)]
+        i = bisect_right(cum, (rng.getrandbits(64) * cum[-1]) >> 64)
+        positions = candidates.memo[i] or candidates[i]
         history.append(positions)
     return Trajectory(model, tuple(history))

@@ -8,7 +8,8 @@ Fractions and in reduced integer pairs, and kernel pair tables stepped in
 Fractions, against the library's integers over a running least common
 denominator, the rounding of an exact root from its reduced square, the
 four-case table of slice parameters against ``slice_params``'s closed
-form, the determinantal transition law and the coupled transfer series, the
+form, the determinantal transition law, the particle-by-particle walk
+of the sampler's transition tables and the coupled transfer series, the
 limiting difference operator and the tangency of the inscribed ellipse, a
 gauge conjugation of kernel matrices, occupation tables from one
 enumeration pass, and quadrature of the arc integrals that
@@ -38,6 +39,7 @@ from hahn_paths import (
     ModelParams,
     Side,
     SignedSqrt,
+    TransitionRowSumError,
     enumerate_path_families,
     slice_params,
 )
@@ -425,6 +427,51 @@ def transition_probability_determinantal(
     return Fraction(
         det_bareiss(matrix) * _vandermonde(y), _vandermonde(x) * pochhammer(T - t, N)
     )
+
+
+def transition_table_walk(
+    model: ModelParams, t: int, positions: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Admissible successors of ``positions`` and their cumulative integer weights.
+
+    Successors come in eps-lexicographic order (eps_1 most significant, 0
+    before 1).  The weight of y = x + eps is Delta(y) prod_i a_i(eps_i), with
+    a_i(1) = N+S-x_i-1 and a_i(0) = x_i+T-t-S, so P(y | x) is the weight over
+    the row total Delta(x) (T-t)_N, which the last cumulative weight must equal.
+    The moves are walked one particle at a time, depth first, pruning a branch
+    as soon as a path leaves the next support or touches its neighbour.
+    """
+    N, S, T = model.N, model.S, model.T
+    nxt = slice_params(model, t + 1)
+    lo, hi = nxt.support_lo, nxt.support_hi
+    candidates = []
+    cum = []
+    total = 0
+
+    def walk(y: tuple[int, ...], weight: int) -> None:
+        nonlocal total
+        i = len(y)
+        if i == N:
+            total += weight
+            candidates.append(y)
+            cum.append(total)
+            return
+        xi = positions[i]
+        last = y[-1] if y else lo - 1
+        for yi, a in ((xi, xi + T - t - S), (xi + 1, N + S - xi - 1)):
+            if not last < yi <= hi:
+                continue
+            for yj in y:
+                a *= yi - yj
+            walk(y + (yi,), weight * a)
+
+    walk((), 1)
+    row = _vandermonde(positions) * pochhammer(T - t, N)
+    if total != row:
+        raise TransitionRowSumError(
+            f"transition row sum {total} != {row} at t={t}, x={positions}"
+        )
+    return tuple(candidates), tuple(cum)
 
 
 def transfer_matrix_series(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:

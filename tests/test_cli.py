@@ -329,14 +329,18 @@ def test_kernel_entry_whose_square_is_above_the_float_range(capsys, mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_kernel_entry_above_the_float_range_exit_4(capsys, tmp_path, mode):
-    out = tmp_path / "k.json"
-    code, _, err = run(capsys, "kernel", "--model", "600,600,1200", "--query",
-                       "600:1200,0:0", "--mode", mode, "--out", str(out))
-    assert code == 4
-    assert err.startswith("error: kernel entry K((600, 1200); (0, 0)): ")
-    assert "float range" in err
-    assert not out.exists()
+def test_kernel_entry_above_the_float_range_prints_null(capsys, mode):
+    # K((600, 1200); (0, 0)) is about 2^1193 and its mirror entry is zero: the
+    # printed matrix holds null for it, and balancing brings it near 1.
+    doc = run_json(capsys, "kernel", "--model", "600,600,1200", "--query", "600:1200,0:0",
+                   "--mode", mode)
+    assert doc["kernel_matrix"] == [[1.0, None], [0.0, 1.0]]
+    # Both points are corners every path family passes through.
+    if mode == "exact":
+        assert doc["correlation"]["rational"] == "1/1"
+    else:
+        assert doc["correlation"] == 1.0
+        assert doc["conditioning"]["condition_hint"] == 1.0
 
 
 def test_enumerate_zero_time_model(capsys):

@@ -399,6 +399,17 @@ def test_balancing_undoes_a_power_of_two_conjugation():
     )
 
 
+def test_balancing_brings_a_one_sided_entry_near_1():
+    # A zero entry counts as its mirror's reciprocal, so in a row anchored by
+    # its diagonal the mirror is scaled near 1; the determinant is unchanged.
+    entries = [[SignedSqrt(1), SignedSqrt(3 * 2**1193)], [SignedSqrt(0), SignedSqrt(1)]]
+    (a, b), (c, d) = _balanced(entries)
+    assert (a, c, d) == (SignedSqrt(1), SignedSqrt(0), SignedSqrt(1))
+    assert 1 <= b.coeff <= 4
+    report = KernelMatrix(ModelParams(1, 1, 2), ((0, 0), (0, 1)), tuple(map(tuple, entries)))
+    assert report.determinant_report().value == 1.0
+
+
 def test_out_of_support_entries_vanish():
     model = ModelParams(2, 1, 3)
     assert extended_kernel(model, (-3, 1), (1, 2)).is_zero()

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_sweep, sweep_models
 from hahn_paths import process
@@ -26,6 +28,7 @@ from oracles import (
     coupling_coefficient_sq,
     transfer_matrix_series,
     transition_probability_determinantal,
+    transition_table_walk,
 )
 
 # SHA-256 of the move strings of (10,10,20) trajectories for seeds 0..9, built
@@ -159,9 +162,88 @@ def test_transition_table_matches_product_form(model):
                 assert Fraction(hi - lo, cum[-1]) == transition_probability(model, t, x, y)
 
 
+def assert_table_is_the_walk(model, t, x):
+    candidates, cum = _transition_table(model, t, x)
+    walk_candidates, walk_cum = transition_table_walk(model, t, x)
+    assert len(candidates) == len(walk_candidates), (model, t, x)
+    assert tuple(candidates) == walk_candidates, (model, t, x)
+    assert cum == walk_cum, (model, t, x)
+
+
+@pytest.mark.parametrize("model", sweep_models(3, 6), ids=str)
+def test_transition_table_is_the_particle_walk(model):
+    for t in range(model.T):
+        for x in configs_at(model, t):
+            assert_table_is_the_walk(model, t, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_transition_table_is_the_particle_walk_on_random_states(data):
+    T = data.draw(st.integers(1, 16), label="T")
+    S = data.draw(st.integers(0, T), label="S")
+    N = data.draw(st.integers(1, 8), label="N")
+    model = ModelParams(N, S, T)
+    t = data.draw(st.integers(0, T - 1), label="t")
+    support = slice_params(model, t).support
+    x = data.draw(st.lists(st.sampled_from(support), min_size=N, max_size=N, unique=True))
+    assert_table_is_the_walk(model, t, tuple(sorted(x)))
+
+
+@pytest.mark.parametrize(
+    "t, x, shape",
+    [
+        (4, (1, 3, 4), "a particle at the lower support edge"),
+        (3, (0, 2, 4), "a particle at the top, all particles separated"),
+        (3, (1, 2, 3), "a single run"),
+        (0, (0, 1, 2), "a single run at the start"),
+    ],
+)
+def test_transition_table_edge_states(t, x, shape):
+    model = ModelParams(3, 2, 5)
+    N, S, T = model.N, model.S, model.T
+    assert set(x) <= set(slice_params(model, t).support)
+    stays = [xi + T - t - S for xi in x]
+    rises = [N + S - xi - 1 for xi in x]
+    runs = sum(1 for a, b in zip(x, x[1:]) if b > a + 1) + 1
+    if "lower" in shape:
+        assert 0 in stays
+    if "top" in shape:
+        assert 0 in rises
+    if "single" in shape:
+        assert runs == 1
+    if "separated" in shape:
+        assert runs == N
+    assert_table_is_the_walk(model, t, x)
+
+
+def test_transition_successors_decode_in_any_order():
+    # A fresh table, so that every successor is decoded here.
+    model = ModelParams(6, 5, 12)
+    x = (0, 1, 3, 5, 6, 7)
+    candidates, cum = _transition_table.__wrapped__(model, 4, x)
+    expected, _ = transition_table_walk(model, 4, x)
+    assert len(candidates) == len(expected) == len(cum) > 1
+    assert candidates[-1] == expected[-1]
+    assert candidates.memo[-1] == expected[-1]
+    for i in reversed(range(len(expected))):
+        assert candidates[i] == expected[i]
+    assert candidates.memo == list(expected)
+    with pytest.raises(IndexError):
+        candidates[len(expected)]
+    with pytest.raises(IndexError):
+        candidates[-len(expected) - 1]
+
+
 def test_transition_table_off_support_row_raises():
     with pytest.raises(TransitionRowSumError):
         _transition_table(ModelParams(2, 2, 4), 0, (0, 5))
+
+
+def test_transition_table_refuses_an_unordered_configuration():
+    for x in ((1, 1), (2, 1)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _transition_table(ModelParams(2, 2, 4), 0, x)
 
 
 def test_transition_table_cache_is_bounded():
