@@ -27,13 +27,7 @@ from .bulk import (
     particle_hole_duality_residual,
     sine_kernel_static,
 )
-from .combinatorics import (
-    ModelParams,
-    Trajectory,
-    check_query,
-    enumerate_path_families,
-    share_through,
-)
+from .combinatorics import ModelParams, Trajectory, check_query, family_counts
 from .errors import (
     FloatRangeError,
     HahnPathsError,
@@ -189,28 +183,22 @@ def cmd_enumerate(args) -> int:
     exact = args.mode == "exact"
     query = _parse_pairs(args.query, "--query")
     check_query(model, query)
-    families = enumerate_path_families(model)
-    marginals = {}
-    for t in range(model.T + 1):
-        counts: dict[int, int] = {}
-        for fam in families:
-            for x in fam.positions[t]:
-                counts[x] = counts.get(x, 0) + 1
-        marginals[str(t)] = {
-            str(x): _number(Fraction(c, len(families)), exact)
-            for x, c in sorted(counts.items())
-        }
+    total, occupation, hits = family_counts(model, query)
+    marginals = {
+        str(t): {str(x): _number(Fraction(c, total), exact) for x, c in counts.items()}
+        for t, counts in enumerate(occupation)
+    }
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "enumerate",
         "model": _model_json(model),
         "mode": args.mode,
-        "family_count": len(families),
+        "family_count": total,
         "slice_marginals": marginals,
     }
     if query:
         report["query"] = [{"x": x, "t": t} for x, t in query]
-        report["oracle_correlation"] = _number(share_through(families, query), exact)
+        report["oracle_correlation"] = _number(Fraction(hits, total), exact)
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

@@ -7,16 +7,14 @@ class HahnPathsError(Exception):
     exit_code = 4
 
 
-class EnumerationCapExceeded(HahnPathsError):
-    """Brute-force enumeration would produce more families than the cap allows."""
-
-    exit_code = 2
-
-
 class ResourceLimitError(HahnPathsError):
     """The input's cost is above a fixed cap, so it is refused before any work."""
 
     exit_code = 3
+
+
+class EnumerationCapExceeded(ResourceLimitError):
+    """Counting families over the slice configurations would take more work than the cap."""
 
 
 class SamplerSizeError(ResourceLimitError):

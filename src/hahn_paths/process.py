@@ -3,13 +3,11 @@
 Slice distributions are squared-Vandermonde ensembles with the slice weight;
 one-step transitions have an exact product form, and the transfer matrix
 between consecutive slices a closed bidiagonal form.  The sampler's
-transition table from x is built over run holes: x splits into maximal runs
-p..q-1 of adjacent particles, each with the interval J = [p, q], and every
-admissible successor y meets J in J minus one hole, below which the particles
-stay and from which on they rise.  So the table is the product of one hole
-per run, at most prod_b |J_b| entries (a hole that puts a particle outside
-the next support is left out; a step of weight <= 0 always does).  Each
-entry carries the integer weight Delta(y) prod_i a_i(eps_i), built from one
+transition table from x is the product of one admissible hole per run of x,
+from ``combinatorics.run_holes``, the successor rule the family counts also
+use: at most prod_b |J_b| entries (a hole that puts a particle outside the
+next support is left out; a step of weight <= 0 always does).  Each entry
+carries the integer weight Delta(y) prod_i a_i(eps_i), built from one
 factor per run and hole and the Vandermonde of the holes, and one 64-bit
 draw selects a move by an integer comparison against the cumulative weights.
 """
@@ -18,14 +16,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd, prod
 from operator import floordiv, mul, sub
 
-from .combinatorics import ModelParams, Trajectory
+from .combinatorics import ModelParams, Successors, Trajectory, run_holes
 from .errors import SamplerSizeError, TransitionRowSumError
 from .hahn import pochhammer, slice_basis, slice_params
 from .radicals import SignedSqrt
@@ -126,64 +123,15 @@ def transfer_matrix(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:
     return SignedSqrt.sqrt(Fraction(num, den))
 
 
-def _runs(positions: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The maximal runs p..q-1 of consecutive positions, as their intervals [p, q]."""
-    runs = []
-    p = prev = positions[0]
-    for x in positions[1:]:
-        if x <= prev:
-            raise ValueError(f"configuration must be strictly increasing: {positions}")
-        if x != prev + 1:
-            runs.append((p, prev + 1))
-            p = x
-        prev = x
-    runs.append((p, prev + 1))
-    return tuple(runs)
-
-
 def _repeat_each(items, n: int):
     """Each item of ``items`` n times in a row."""
     return chain.from_iterable(zip(*[items] * n))
 
 
-class _Successors(Sequence):
-    """The successors y of one transition row, decoded on demand.
-
-    Index i is the mixed-radix number whose digits pick one hole per run, the
-    first run most significant; each decoded y is kept in ``memo``, so a
-    sampler step that finds it there makes no Python call.
-    """
-
-    __slots__ = ("memo", "_runs", "_holes")
-
-    def __init__(self, runs: tuple[tuple[int, int], ...], holes: tuple[tuple[int, ...], ...]):
-        self._runs = runs
-        self._holes = holes
-        self.memo: list[tuple[int, ...] | None] = [None] * prod(len(h) for h in holes)
-
-    def __len__(self) -> int:
-        return len(self.memo)
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        y = self.memo[i]
-        if y is None:
-            i %= len(self.memo)
-            rest, chosen = i, []
-            for hs in reversed(self._holes):
-                rest, d = divmod(rest, len(hs))
-                chosen.append(hs[d])
-            z: list[int] = []
-            for (p, q), h in zip(self._runs, reversed(chosen)):
-                z.extend(range(p, h))
-                z.extend(range(h + 1, q + 1))
-            y = self.memo[i] = tuple(z)
-        return y
-
-
 @lru_cache(maxsize=1024)
 def _transition_table(
     model: ModelParams, t: int, positions: tuple[int, ...]
-) -> tuple[_Successors, tuple[int, ...]]:
+) -> tuple[Successors, tuple[int, ...]]:
     """Admissible successors of ``positions`` and their cumulative integer weights.
 
     Successors come in eps-lexicographic order (eps_1 most significant, 0
@@ -207,8 +155,7 @@ def _transition_table(
     """
     N, S, T = model.N, model.S, model.T
     nxt = slice_params(model, t + 1)
-    lo, hi = nxt.support_lo, nxt.support_hi
-    runs = _runs(positions)
+    runs, holes = run_holes(positions, nxt.support_lo, nxt.support_hi)
     starts = [p for p, _ in runs]
     tops = [q for _, q in runs]
     top = [abs(prod(map(sub, repeat(g), tops))) for g in positions]
@@ -217,19 +164,17 @@ def _transition_table(
     rise = [(N + S - 1 - g) * f for g, f in zip(positions, bot)]
     spread = delta_x = _vandermonde(positions)
     scale = _vandermonde(tops) * prod(top)
-    holes, factors = [], []
+    factors = []
     i = 0
-    for p, q in runs:
+    for (p, q), hs in zip(runs, holes):
         below = list(accumulate(stay[i : i + q - p], mul, initial=1))
         above = list(accumulate(reversed(rise[i : i + q - p]), mul, initial=1))
         i += q - p
-        hs = [h for h in range(q, p - 1, -1) if p + (h == p) >= lo and q - (h == q) <= hi]
         psi = [below[h - p] * above[q - h] for h in hs]
         g = gcd(*psi)
         if g > 1:
             psi = [f // g for f in psi]
             spread *= g
-        holes.append(tuple(hs))
         factors.append(psi)
     g = gcd(spread, scale)
     spread //= g
@@ -259,7 +204,7 @@ def _transition_table(
         raise TransitionRowSumError(
             f"transition row sum {total} != {row} at t={t}, x={positions}"
         )
-    return _Successors(runs, tuple(holes)), tuple(cum)
+    return Successors(runs, holes), tuple(cum)
 
 
 def sample_trajectory(model: ModelParams, seed: int) -> Trajectory:

@@ -11,8 +11,10 @@ four-case table of slice parameters against ``slice_params``'s closed
 form, the determinantal transition law, the particle-by-particle walk
 of the sampler's transition tables and the coupled transfer series, the
 limiting difference operator and the tangency of the inscribed ellipse, a
-gauge conjugation of kernel matrices, occupation tables from one
-enumeration pass, and quadrature of the arc integrals that
+gauge conjugation of kernel matrices, the brute-force listing of every
+path family by a depth-first walk over move vectors, against the forward
+count over run-hole successors, occupation tables from one pass over that
+listing, and quadrature of the arc integrals that
 ``bulk.arc_integral`` evaluates in closed form.  For the
 quadrature, adaptive Simpson serves short offsets; composite Gauss-Legendre,
 one panel per oscillation, serves offsets in the thousands, where the
@@ -26,7 +28,7 @@ import math
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import cos, pi
 
 from hahn_paths import (
@@ -39,8 +41,8 @@ from hahn_paths import (
     ModelParams,
     Side,
     SignedSqrt,
+    Trajectory,
     TransitionRowSumError,
-    enumerate_path_families,
     slice_params,
 )
 from hahn_paths import hahn as hahn_module
@@ -574,6 +576,43 @@ def gauge_transform(matrix: KernelMatrix, gauge) -> KernelMatrix:
         for fi, row in zip(factors, matrix.entries)
     )
     return KernelMatrix(matrix.model, matrix.points, rows)
+
+
+def enumerate_path_families(model: ModelParams) -> list[Trajectory]:
+    """Every path family, in lexicographic order over move sequences.
+
+    The family's key is the time-major tuple of per-step move vectors; DFS
+    over admissible move subsets visits keys in ascending order.
+    """
+    N, T = model.N, model.T
+    families: list[Trajectory] = []
+    move_vectors = list(product((0, 1), repeat=N))
+    params = (slice_params(model, t) for t in range(T + 1))
+    bounds = [(p.support_lo, p.support_hi) for p in params]
+
+    def admissible(positions: tuple[int, ...], mv: tuple[int, ...], t_next: int) -> bool:
+        lo, hi = bounds[t_next]
+        prev = lo - 1
+        for i in range(N):
+            x = positions[i] + mv[i]
+            if not prev < x <= hi:
+                return False
+            prev = x
+        return True
+
+    def dfs(t: int, history: list[tuple[int, ...]]) -> None:
+        positions = history[-1]
+        if t == T:
+            families.append(Trajectory(model, tuple(history)))
+            return
+        for mv in move_vectors:
+            if admissible(positions, mv, t + 1):
+                history.append(tuple(p + m for p, m in zip(positions, mv)))
+                dfs(t + 1, history)
+                history.pop()
+
+    dfs(0, [tuple(range(N))])
+    return families
 
 
 def oracle_tables(model: ModelParams) -> tuple[int, Counter, Counter]:

@@ -23,7 +23,6 @@ from hahn_paths import (
     convergence_probe,
     correlation,
     ellipse_classify,
-    enumerate_path_families,
     limit_params,
     particle_hole_duality_residual,
     sample_trajectory,
@@ -44,6 +43,7 @@ from oracles import (
     difference_relation_residual,
     dual_orthogonality_residual,
     ellipse_tangency_discriminants,
+    enumerate_path_families,
     oracle_tables,
     transfer_matrix_series,
     transition_probability_determinantal,

@@ -16,6 +16,7 @@ from hahn_paths import (
     Side,
     bulk,
     cli,
+    combinatorics,
     kernels,
     limit_params,
 )
@@ -27,7 +28,7 @@ PACKAGE_ERRORS = [
     for obj in (getattr(hahn_paths, name) for name in hahn_paths.__all__)
     if isinstance(obj, type) and issubclass(obj, HahnPathsError)
 ]
-EXIT_CODES = {EnumerationCapExceeded: 2, ResourceLimitError: 3, SamplerSizeError: 3}
+EXIT_CODES = {EnumerationCapExceeded: 3, ResourceLimitError: 3, SamplerSizeError: 3}
 
 # SHA-256 of the `kernel --static-t` outputs of STATIC_CASES, in order, computed
 # before the static kernel was evaluated through the extended kernel.
@@ -79,13 +80,13 @@ def test_enumerate_query_exact_fields(capsys):
 
 def counting_enumeration(monkeypatch) -> list:
     calls = []
-    original = cli.enumerate_path_families
+    original = cli.family_counts
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "enumerate_path_families", counted)
+    monkeypatch.setattr(cli, "family_counts", counted)
     return calls
 
 
@@ -130,10 +131,28 @@ def test_model_and_hexagon_mutually_exclusive(capsys):
 
 
 def test_enumerate_cap_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("HAHN_PATHS_CAP", "1")
-    code, _, err = run(capsys, "enumerate", "--model", "2,1,2")
-    assert code == 2
+    # (2, 1, 2) has work N T C(3, 2) = 12, one above the patched cap.
+    def fail(*args):
+        raise AssertionError("counted past the cap")
+
+    monkeypatch.setattr(combinatorics, "ENUMERATION_MAX_WORK", 11)
+    monkeypatch.setattr(combinatorics, "run_holes", fail)
+    code, out, err = run(capsys, "enumerate", "--model", "2,1,2")
+    assert code == 3
+    assert out == ""
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "model, families",
+    [
+        ("5,5,10", 267227532),  # the listing refused it: above its cap of 10^6 families
+        ("1,0,1500", 1),  # the listing recursed once per step, past the recursion limit
+    ],
+)
+def test_enumerate_answers_what_the_listing_could_not(capsys, model, families):
+    doc = run_json(capsys, "enumerate", "--model", model)
+    assert doc["family_count"] == families
 
 
 def test_kernel_trace_and_query(capsys):

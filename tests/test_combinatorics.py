@@ -1,17 +1,20 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import small_sweep
+from conftest import small_sweep, sweep_models
 from hahn_paths import (
     EnumerationCapExceeded,
     ModelParams,
     Trajectory,
     count_path_families,
-    enumerate_path_families,
     oracle_correlation,
 )
+from hahn_paths import combinatorics
 from hahn_paths.combinatorics import binomial, det_bareiss
+from oracles import enumerate_path_families
 
 
 def test_binomial_extension():
@@ -60,7 +63,6 @@ def test_model_validation():
         ModelParams(0, 1, 2)
     with pytest.raises(ValueError):
         ModelParams(1, 3, 2)
-    assert ModelParams(2, 1, 3).hexagon_sides == (2, 1, 2)
 
 
 def test_enumerate_examples():
@@ -75,15 +77,19 @@ def test_enumerate_order_is_lexicographic():
 
 
 def test_enumerate_cap(monkeypatch):
-    monkeypatch.setenv("HAHN_PATHS_CAP", "2")
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_path_families(ModelParams(2, 1, 2))
+    # (2, 1, 2) has work N T C(N + m, N) = 2 * 2 * C(3, 2) = 12.
+    def fail(*args):
+        raise AssertionError("counted past the cap")
 
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("HAHN_PATHS_CAP", "1")
+    model = ModelParams(2, 1, 2)
+    monkeypatch.setattr(combinatorics, "ENUMERATION_MAX_WORK", 2 * 2 * 3)
+    assert combinatorics.family_counts(model)[0] == 3
+    monkeypatch.setattr(combinatorics, "ENUMERATION_MAX_WORK", 2 * 2 * 3 - 1)
+    monkeypatch.setattr(combinatorics, "run_holes", fail)
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_path_families(ModelParams(2, 1, 2))
+        combinatorics.family_counts(model)
+    with pytest.raises(EnumerationCapExceeded):
+        oracle_correlation(model, [(0, 1)])
 
 
 @pytest.mark.parametrize("model", small_sweep(), ids=str)
@@ -109,3 +115,44 @@ def test_oracle_empty_query_is_one():
 def test_oracle_rejects_duplicates():
     with pytest.raises(ValueError):
         oracle_correlation(ModelParams(1, 1, 2), [(0, 1), (0, 1)])
+
+
+def macmahon(a: int, b: int, c: int) -> Fraction:
+    """MacMahon's count of the lozenge tilings of the (a, b, c) hexagon."""
+    value = Fraction(1)
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            for k in range(1, c + 1):
+                value *= Fraction(i + j + k - 1, i + j + k - 2)
+    return value
+
+
+def test_counts_equal_macmahon_box_product():
+    models = [
+        ModelParams(n, s, t) for n in range(1, 7) for t in range(13) for s in range(t + 1)
+    ]
+    for model in models:
+        want = macmahon(model.N, model.S, model.T - model.S)
+        assert model.family_count() == want, model
+        assert sum(combinatorics._forward(model)[-1].values()) == want, model
+
+
+@pytest.mark.parametrize(
+    "model", sweep_models(3, 6) + [ModelParams(n, 0, 0) for n in (1, 2, 3)], ids=str
+)
+def test_forward_counts_match_the_listing(model):
+    fams = enumerate_path_families(model)
+    total, occupation, hits = combinatorics.family_counts(model)
+    assert total == hits == len(fams)
+    assert [list(counts.items()) for counts in occupation] == [
+        sorted(Counter(x for fam in fams for x in fam.positions[t]).items())
+        for t in range(model.T + 1)
+    ]
+    # x runs one past the hexagon on either side, so some points lie off the support.
+    points = [(x, t) for t in range(model.T + 1) for x in range(-1, model.S + model.N + 1)]
+    rng = random.Random(str(model))
+    for k in (1, 2, 3, 3):
+        query = rng.sample(points, k)
+        through = sum(all(x in fam.positions[t] for x, t in query) for fam in fams)
+        assert combinatorics.family_counts(model, query) == (total, occupation, through)
+        assert oracle_correlation(model, query) == Fraction(through, total)

@@ -280,7 +280,7 @@ def test_operator_factorization(model):
 def test_three_point_correlations_match_oracle():
     import random
 
-    from hahn_paths import enumerate_path_families
+    from oracles import enumerate_path_families
 
     rng = random.Random(99)
     model = ModelParams(2, 3, 4)
@@ -313,6 +313,27 @@ def test_time_reversal_symmetry(model):
     for p, q in combinations(pts[:: max(1, len(pts) // 12)], 2):
         mirrored = [(top - x, model.T - t) for x, t in (p, q)]
         assert correlation(model, [p, q]) == correlation(model, mirrored)
+
+
+@pytest.mark.parametrize(
+    "model", [ModelParams(5, 5, 10), ModelParams(4, 3, 9), ModelParams(5, 2, 8)], ids=str
+)
+def test_determinants_match_the_forward_count_beyond_the_listing(model):
+    # 60,984 to 267,227,532 families; the listing never reached (5, 5, 10).
+    rng = random.Random(str(model))
+    top = model.S + model.N  # one past the highest support point
+    queries = [[(0, 0)], [(model.N, 0), (model.N - 1, 1)], [(-1, 3)], [(top, 4), (2, 4)]]
+    for k in (1, 2, 3) * 4:
+        points = rng.sample(all_points(model), k)
+        queries.append(points)
+        # The same query with its last point moved to t = 0, in or off the support.
+        queries.append(sorted(set(points[:-1] + [(rng.randrange(-1, model.N + 1), 0)])))
+    values = set()
+    for query in queries:
+        got = KernelMatrix.build(model, CorrelationQuery(tuple(query))).determinant()
+        assert got == oracle_correlation(model, query), query
+        values.add(got)
+    assert len(values) > 4  # the queries do not all collapse to 0 or 1
 
 
 def test_gauge_transform_invariance():

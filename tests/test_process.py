@@ -15,7 +15,6 @@ from hahn_paths import (
     SignedSqrt,
     Trajectory,
     TransitionRowSumError,
-    enumerate_path_families,
     sample_trajectory,
     slice_distribution,
     transfer_matrix,
@@ -26,6 +25,7 @@ from hahn_paths.kernels import _pair_table
 from hahn_paths.process import _normalization, _transition_table, _vandermonde
 from oracles import (
     coupling_coefficient_sq,
+    enumerate_path_families,
     transfer_matrix_series,
     transition_probability_determinantal,
     transition_table_walk,

@@ -38,7 +38,7 @@ def test_lozenge_counts_match_area_accounting(nst):
     model = ModelParams(*nst)
     traj = sample_trajectory(model, seed=11)
     loz = trajectory_lozenges(traj)
-    a, b, c = model.hexagon_sides
+    a, b, c = model.N, model.S, model.T - model.S
     assert len(loz["up"]) == a * b
     assert len(loz["flat"]) == c * a
     assert len(loz["gap"]) == b * c
