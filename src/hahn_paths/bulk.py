@@ -389,7 +389,6 @@ class ProbeRow:
 
 @dataclass(frozen=True)
 class ProbeTable:
-    regime: LimitRegime
     params: LimitKernelParams
     rows: tuple[ProbeRow, ...]
 
@@ -452,4 +451,4 @@ def convergence_probe(
                 limits[dx, dt] = extended_sine_kernel(params, dx, dt)
             cells.append(ProbeCell((dx, dt), aligned, limits[dx, dt]))
         rows.append(ProbeRow(rho, model, t_base, x_base, x_base - x_round, tuple(cells)))
-    return ProbeTable(regime, params, tuple(rows))
+    return ProbeTable(params, tuple(rows))

@@ -21,8 +21,9 @@ from .errors import EnumerationCapExceeded
 
 # Cost cap of the forward count, whose work is N T C(N + m, N) (see
 # _forward).  A unit of work took 1.5-12.4 us over shapes with N from 1 to
-# 100; with a query at t = T, (16, 4, 20), work 1.55e6, takes 19 s, and
-# (8, 8, 16), work 1.65e6, 3.9 s (fresh processes, 2-vCPU VM, CPython 3.11).
+# 100; with a query at t = 0, whose pass repeats the whole count, (16, 4, 20),
+# work 1.55e6, takes 19-26 s, and (8, 8, 16), work 1.65e6, 3.9-5.2 s (fresh
+# processes, 2-vCPU VM, CPython 3.11).
 ENUMERATION_MAX_WORK = 1_700_000
 
 
@@ -212,11 +213,13 @@ def check_query(model: ModelParams, query: list[tuple[int, int]]) -> None:
             raise ValueError(f"query time {t} outside 0..{model.T}")
 
 
-def _forward(model: ModelParams, query=()) -> list[dict[tuple[int, ...], int]]:
-    """F_0..F_T, where F_t(z) counts the families from the start to z at time t.
+def _forward(model: ModelParams, query=(), t0: int = 0, layer=None) -> list[dict]:
+    """F_t0..F_T, where F_t(z) counts the families from the start to z at time t.
 
     Only families through every query point at times up to t are counted.
-    Raises EnumerationCapExceeded before any work when N T C(N + m, N), with
+    The pass starts from the start configuration at t0 = 0, or resumes from a
+    given ``layer`` F_t0 that an earlier pass counted.  Raises
+    EnumerationCapExceeded before any work when N T C(N + m, N), with
     m = min(S, T - S), is above the cap: the largest slice has N + m points,
     and C(N + m, k) >= 2^k for k = min(N, m).
     """
@@ -228,10 +231,11 @@ def _forward(model: ModelParams, query=()) -> list[dict[tuple[int, ...], int]]:
 
     from .hahn import slice_params  # not at the top: hahn imports ModelParams from here
 
-    layer = {tuple(range(model.N)): 1}
+    if layer is None:
+        layer = {tuple(range(model.N)): 1}
     layers = []
-    for t in range(model.T + 1):
-        if t:
+    for t in range(t0, model.T + 1):
+        if t > t0:
             p = slice_params(model, t)
             counts: dict[tuple[int, ...], int] = {}
             for x, n in layer.items():
@@ -249,7 +253,8 @@ def family_counts(model: ModelParams, query=()) -> tuple[int, list[dict[int, int
 
     ``occupation[t]`` maps each visited x, ascending, to its count.  The half
     turn (t, x) -> (T - t, S + N - 1 - x) maps the model to itself, so
-    F_T-t(turned z) counts the families from z at time t to the end.  Raises
+    F_T-t(turned z) counts the families from z at time t to the end.  The
+    query pass starts from the layer at its first time.  Raises
     EnumerationCapExceeded before any work.
     """
     forward = _forward(model)
@@ -264,8 +269,10 @@ def family_counts(model: ModelParams, query=()) -> tuple[int, list[dict[int, int
                 for x in z:
                     counts[x] = counts.get(x, 0) + n
         occupation.append(dict(sorted(counts.items())))
-    hits = sum(_forward(model, query)[-1].values()) if query else total
-    return total, occupation, hits
+    if not query:
+        return total, occupation, total
+    t0 = min(t for _, t in query)
+    return total, occupation, sum(_forward(model, query, t0, forward[t0])[-1].values())
 
 
 def oracle_correlation(model: ModelParams, query: list[tuple[int, int]]) -> Fraction:

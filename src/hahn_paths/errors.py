@@ -33,10 +33,6 @@ class DegenerateParameterError(HahnPathsError):
     """A zero denominator Pochhammer was reached with a nonzero numerator."""
 
 
-class ColumnScaleError(HahnPathsError):
-    """A value is not an integer over the common denominator of its column or pair table."""
-
-
 class BoundaryRegimeError(HahnPathsError):
     """The macroscopic regime point sits on the boundary of its admissible box."""
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial, gcd
 
 from .combinatorics import ModelParams
-from .errors import ColumnScaleError, DegenerateParameterError
+from .errors import DegenerateParameterError
 from .radicals import SignedSqrt
 
 
@@ -137,28 +137,38 @@ def _recurrence_coefficients(n: int, alpha: int, beta: int, M: int) -> tuple[int
     return a_num * c_den + c_num * a_den, a_den * c_den, c_num * a_den, d
 
 
-def _scaled_numerator(num: int, den: int, lcd: int) -> int:
-    """num / den times lcd, for an lcd that den divides."""
-    scale, rest = divmod(lcd, den)
-    if rest:
-        raise ColumnScaleError(f"{num}/{den} times {lcd} is not an integer")
-    return num * scale
+def _extend_over_lcd(den: int, ints: list[int], steps) -> tuple[int, list[int]]:
+    """Append the values of a linear recurrence to integers over their least common denominator.
 
-
-def _rescale_stretches(values: list[int], marks: list[tuple[int, int]], den: int) -> None:
-    """Put values over the common denominator den in place.
-
-    The marks (i, den_i) split values into stretches: from index i up to the
-    next mark the values are over den_i, a divisor of den.  Each stretch is
-    scaled by den / den_i once.
+    ints / den are v_0..v_n, with gcd(den, *ints) = 1 and v_(-1) = 0.  Each
+    step (a, c, d), d > 0, appends v = (a v_n - c v_(n-1)) / d.  With
+    num = a den v_n - c den v_(n-1), g = gcd(num, d) and r = d / g, the new
+    value is (num / g) / (r den), and gcd(num / g, r) = 1 makes r den the least
+    common denominator of the extended list.  So den grows by r where r > 1,
+    and every gcd has the small operand d.  At the end each stored integer is
+    multiplied by the growths that came after it, so no rescale divides.
     """
-    end = len(values)
-    for start, stretch_den in reversed(marks):
-        scale = _scaled_numerator(1, stretch_den, den)
-        if scale != 1:
-            for i in range(start, end):
-                values[i] *= scale
+    ints = ints[:]
+    prev = ints[-2] if len(ints) > 1 else 0
+    cur = ints[-1]
+    growths = []
+    for a, c, d in steps:
+        num = a * cur - c * prev
+        g = gcd(num, d)
+        r = d // g
+        if r > 1:
+            den *= r
+            cur *= r
+            growths.append((len(ints), r))
+        prev, cur = cur, num // g
+        ints.append(cur)
+    scale, end = 1, len(ints)
+    for start, r in [*reversed(growths), (0, 1)]:
+        if scale > 1:
+            ints[start:end] = [v * scale for v in ints[start:end]]
+        scale *= r
         end = start
+    return den, ints
 
 
 class _SliceBasis:
@@ -202,13 +212,9 @@ class _SliceBasis:
     def scaled_column(self, x: int, k: int) -> tuple[int, list[int]]:
         """(D, [D Q_0(x'), ..., D Q_j(x')]) for some j >= k, at model coordinate x.
 
-        D is the least common denominator of the values.  A step takes
-        num = (b - e x') D Q_n - c D Q_(n-1) over d D; with g = gcd(num, d)
-        and r = d / g, the new value is (num / g) / (r D), and
-        gcd(num / g, r) = 1 makes r D the least common denominator of the
-        extended column (d > 0, see ``_recurrence_coefficients``).  So D
-        grows by r where r > 1, and every gcd has the small operand d.  The
-        integers stored before each growth are rescaled once at the end.
+        D is the least common denominator of the values, kept by
+        ``_extend_over_lcd`` with the steps (b - e x', c, d) of the memoized
+        recurrence coefficients (d > 0, see ``_recurrence_coefficients``).
         """
         p = self.params
         if not 0 <= k <= p.M:
@@ -220,21 +226,8 @@ class _SliceBasis:
         for n in range(len(coefficients), k):
             coefficients.append(_recurrence_coefficients(n, p.alpha, p.beta, p.M))
         xp = x - p.shift
-        prev = ints[-2] if len(ints) > 1 else 0
-        cur = ints[-1]
-        marks = [(0, den)]
-        ints = ints[:]
-        for b, e, c, d in coefficients[len(ints) - 1 : k]:
-            num = (b - e * xp) * cur - c * prev
-            g = gcd(num, d)
-            r = d // g
-            if r > 1:
-                den *= r
-                cur *= r
-                marks.append((len(ints), den))
-            prev, cur = cur, num // g
-            ints.append(cur)
-        _rescale_stretches(ints, marks, den)
+        steps = ((b - e * xp, c, d) for b, e, c, d in coefficients[len(ints) - 1 : k])
+        den, ints = _extend_over_lcd(den, ints, steps)
         self._columns[x] = den, ints
         return den, ints
 
@@ -260,11 +253,6 @@ class _SliceBasis:
             raise DegenerateParameterError(f"zero factor in the norm ratio at k={k} for {p}")
         return num, den
 
-    def f(self, n: int, x: int) -> SignedSqrt:
-        if x not in self.support:
-            return SignedSqrt.zero()
-        return SignedSqrt(self.q(n, x), self.weight(x) / self.norm2(n))
-
 
 @lru_cache(maxsize=1024)
 def slice_basis(model: ModelParams, t: int) -> _SliceBasis:
@@ -276,4 +264,6 @@ def orthonormal_function(model: ModelParams, n: int, t: int, x: int) -> SignedSq
     basis = slice_basis(model, t)
     if not 0 <= n <= basis.params.M:
         raise ValueError(f"n={n} outside 0..{basis.params.M}")
-    return basis.f(n, x)
+    if x not in basis.support:
+        return SignedSqrt.zero()
+    return SignedSqrt(basis.q(n, x), basis.weight(x) / basis.norm2(n))

@@ -16,7 +16,7 @@ from math import frexp, gcd, lcm, ldexp
 
 from .combinatorics import ModelParams, det_bareiss
 from .errors import FloatRangeError, IncompatibleRadicalsError
-from .hahn import _rescale_stretches, pochhammer, slice_basis
+from .hahn import _extend_over_lcd, pochhammer, slice_basis
 from .radicals import SignedSqrt, exact_isqrt, sqrt_fraction
 
 
@@ -49,7 +49,8 @@ def complementary_kernel(model: ModelParams, t: int, x: int, y: int) -> SignedSq
         return SignedSqrt.zero()
     value = static_kernel(model, t, x, y)
     if x == y:
-        value = value - 1
+        # A static diagonal entry is rational: a sum of Q_i(x)^2 w(x) / n_i.
+        return SignedSqrt(value.as_rational() - 1)
     return value
 
 
@@ -73,9 +74,9 @@ def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, int,
     the ratios are integers over their least common denominator L.  Each
     step's square R_i / R_(i-1) is built from small integers and reduced
     once, and its root is the coprime pair of integer roots of its two terms.
-    The running ratio v / L is kept over its running least common
-    denominator, as the Hahn columns are (see ``_SliceBasis.scaled_column``):
-    with g = gcd(v root_num, root_den), L grows by root_den / g.
+    The running ratio is kept over its least common denominator by the
+    stepper of the Hahn columns, ``_extend_over_lcd``, with steps
+    (root_num, 0, root_den).
     """
     b_s = slice_basis(model, s)
     b_t = slice_basis(model, t)
@@ -98,9 +99,7 @@ def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, int,
     radicand = radicand / prod_c2 if s >= t else radicand * prod_c2
     # R_i / R_(i-1) from small integers: the norm ratios n_i / n_(i-1), and
     # prod c_i^2 / prod c_(i-1)^2 = u v / ((u + d) (v + d)), u = a+N-i, v = T+N-b-i.
-    cur, lcd = sign, 1
-    ratios = [cur]
-    marks = [(0, lcd)]
+    steps = []
     for i in indices[1:]:
         u, v = a + N - i, T + N - b - i
         c2_num, c2_den = u * v, (u + d) * (v + d)
@@ -115,15 +114,8 @@ def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, int,
                 f"kernel terms {lo} and {i} between times {s} and {t}"
                 " have incompatible radicands"
             )
-        cur *= root_num
-        g = gcd(cur, root_den)
-        r = root_den // g
-        if r > 1:
-            lcd *= r
-            marks.append((len(ratios), lcd))
-        cur //= g
-        ratios.append(cur)
-    _rescale_stretches(ratios, marks, lcd)
+        steps.append((root_num, 0, root_den))
+    lcd, ratios = _extend_over_lcd(1, [sign], steps)
     return lo, radicand, lcd, tuple(ratios)
 
 
@@ -207,7 +199,6 @@ class DetReport:
     """Float determinant with partial-pivoting conditioning diagnostics."""
 
     value: float
-    size: int
     min_pivot: float
     max_pivot: float
 
@@ -222,7 +213,7 @@ def _det_float_report(matrix: list[list[float]]) -> DetReport:
     """Partial pivoting, with the pivot product kept as frexp parts so that it cannot overflow."""
     n = len(matrix)
     if n == 0:
-        return DetReport(1.0, 0, 1.0, 1.0)
+        return DetReport(1.0, 1.0, 1.0)
     m = [list(row) for row in matrix]
     mant, exp = 1.0, 0
     min_pivot = float("inf")
@@ -230,7 +221,7 @@ def _det_float_report(matrix: list[list[float]]) -> DetReport:
     for k in range(n):
         pivot_row = max(range(k, n), key=lambda i: abs(m[i][k]))
         if m[pivot_row][k] == 0.0:
-            return DetReport(0.0, n, 0.0, max_pivot)
+            return DetReport(0.0, 0.0, max_pivot)
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             mant = -mant
@@ -247,7 +238,7 @@ def _det_float_report(matrix: list[list[float]]) -> DetReport:
         det = ldexp(mant, exp)
     except OverflowError:
         raise FloatRangeError(f"the determinant is about 2^{exp}, above the float range") from None
-    return DetReport(det, n, min_pivot, max_pivot)
+    return DetReport(det, min_pivot, max_pivot)
 
 
 def _log2_size(value: SignedSqrt) -> float:

@@ -95,9 +95,6 @@ class SignedSqrt:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __neg__(self) -> SignedSqrt:
-        return SignedSqrt(-self.coeff, self.radicand)
-
     def __mul__(self, other) -> SignedSqrt:
         if isinstance(other, SignedSqrt):
             return SignedSqrt(self.coeff * other.coeff, self.radicand * other.radicand)
@@ -120,13 +117,6 @@ class SignedSqrt:
                 f"cannot add sqrt({self.radicand}) and sqrt({other.radicand})"
             )
         return SignedSqrt(self.coeff + other.coeff * ratio, self.radicand)
-
-    def __sub__(self, other) -> SignedSqrt:
-        if isinstance(other, (int, Fraction)):
-            other = SignedSqrt(Fraction(other))
-        if not isinstance(other, SignedSqrt):
-            return NotImplemented
-        return self + (-other)
 
     # -- comparisons / conversions -------------------------------------
 

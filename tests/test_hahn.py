@@ -5,7 +5,6 @@ import pytest
 
 from conftest import small_sweep, sweep_models
 from hahn_paths import (
-    ColumnScaleError,
     DegenerateParameterError,
     ModelParams,
     SignedSqrt,
@@ -19,7 +18,6 @@ from hahn_paths.hahn import (
     _norm_ratio,
     _pochhammer_weight,
     _recurrence_coefficients,
-    _scaled_numerator,
     slice_basis,
 )
 from oracles import (
@@ -179,12 +177,6 @@ def test_stored_columns_are_integers_over_their_least_common_denominator():
                     assert value == hahn_q(k, x - p.shift, p.alpha, p.beta, p.M)
 
 
-def test_column_scale_must_be_integral():
-    assert _scaled_numerator(-5, 6, 12) == -10
-    with pytest.raises(ColumnScaleError):
-        _scaled_numerator(1, 3, 2)
-
-
 def test_recurrence_degenerate_step_raises():
     # A_1 = 0 through its factor n + alpha + 1 (alpha = -2): no division by zero.
     with pytest.raises(DegenerateParameterError):
@@ -263,7 +255,10 @@ def test_orthogonality_224():
     m = ModelParams(2, 2, 4)
     basis = slice_basis(m, 2)
     dot = sum(
-        (basis.f(0, x) * basis.f(1, x) for x in basis.support),
+        (
+            orthonormal_function(m, 0, 2, x) * orthonormal_function(m, 1, 2, x)
+            for x in basis.support
+        ),
         start=SignedSqrt.zero(),
     )
     assert dot.is_zero()
@@ -277,7 +272,10 @@ def test_orthonormality_sweep(model):
         for a in range(M + 1):
             for b in range(a, M + 1):
                 dot = sum(
-                    (basis.f(a, x) * basis.f(b, x) for x in basis.support),
+                    (
+                        orthonormal_function(model, a, t, x) * orthonormal_function(model, b, t, x)
+                        for x in basis.support
+                    ),
                     start=SignedSqrt.zero(),
                 )
                 assert dot == (1 if a == b else 0)

@@ -80,11 +80,12 @@ def test_complementary_kernel():
         support = list(slice_basis(m, t).support)
         for x in support:
             for y in support:
-                diff = complementary_kernel(m, t, x, y) - static_kernel(m, t, x, y)
+                value = complementary_kernel(m, t, x, y)
+                static = static_kernel(m, t, x, y)
                 if x == y:
-                    assert diff == -1
+                    assert value.as_rational() == static.as_rational() - 1
                 else:
-                    assert diff.is_zero()
+                    assert value == static
     # full slice (support size == N): tail sum is empty
     assert complementary_kernel(m, 0, 0, 0).is_zero()
     assert complementary_kernel(m, 0, 9, 9).is_zero()
@@ -367,7 +368,6 @@ def test_float_backend_close_to_exact():
     exact_det = correlation(model, query)
     report = KernelMatrix.build(model, query).determinant_report()
     assert report.value == pytest.approx(float(exact_det), abs=1e-12)
-    assert report.size == 2
     assert report.min_pivot > 0
     assert report.condition_hint >= 1
 
@@ -384,7 +384,6 @@ def test_float_backend_close_to_exact():
 def test_det_float_report_branches(matrix, value, hint):
     report = _det_float_report(matrix)
     assert report.value == value
-    assert report.size == len(matrix)
     assert report.condition_hint == hint
 
 

@@ -118,3 +118,46 @@ def ok2(): pass
 """
     faults = _cache_decorator_faults(ast.parse(source))
     assert sorted(line for line, _ in faults) == [3, 5, 8, 11, 14, 17]
+
+
+def _raised_names(tree: ast.AST) -> set[str]:
+    """The class names in every `raise X(...)`, `raise X` and `raise mod.X` of a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_exported_error_is_raised():
+    # An exported error that nothing raises names a failure that cannot
+    # happen, and its exit code documents nothing.  A base class is exempt:
+    # it is raised through its subclasses.
+    errors = [
+        obj
+        for obj in (getattr(hahn_paths, name) for name in hahn_paths.__all__)
+        if isinstance(obj, type) and issubclass(obj, hahn_paths.HahnPathsError)
+    ]
+    bases = {base for cls in errors for base in cls.__mro__[1:]}
+    raised = set()
+    for path in SRC.rglob("*.py"):
+        raised |= _raised_names(ast.parse(path.read_text()))
+    assert errors
+    assert sorted(c.__name__ for c in errors if c not in bases and c.__name__ not in raised) == []
+
+
+def test_raise_scan_reads_every_raise_form():
+    source = """
+raise A("boom")
+raise B
+raise errors.C("boom") from None
+try:
+    pass
+except D:
+    raise
+"""
+    assert _raised_names(ast.parse(source)) == {"A", "B", "C"}

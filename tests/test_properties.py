@@ -14,12 +14,13 @@ from hahn_paths import (
     IncompatibleRadicalsError,
     ModelParams,
     SignedSqrt,
+    orthonormal_function,
     slice_params,
     slice_weight,
 )
 from hahn_paths import hahn
 from hahn_paths.hahn import _SliceBasis, slice_basis
-from hahn_paths.kernels import _pair_table, extended_kernel
+from hahn_paths.kernels import _pair_table, correlation, extended_kernel, static_kernel
 from oracles import (
     admissible_cases,
     case_params,
@@ -191,10 +192,40 @@ def test_weight_on_demand_equals_slice_weight(data):
             # Off the support the weight, the orthonormal functions and the
             # kernel entries are zero, and nothing is memoized.
             assert basis.weight(x) == 0
-            assert basis.f(0, x).is_zero()
+            assert orthonormal_function(model, 0, t, x).is_zero()
             assert extended_kernel(model, (x, t), (lo, t)).is_zero()
     assert len(basis._weights) <= len(basis.support)
     assert set(basis._weights) <= set(basis.support)
+
+
+def _slice_point(data, model: ModelParams) -> tuple[int, int]:
+    """A point (x, t) of the model's grid, on its slice's support or one step off it."""
+    t = data.draw(st.integers(0, model.T), label="t")
+    p = slice_params(model, t)
+    return data.draw(st.integers(p.support_lo - 1, p.support_hi + 1), label="x"), t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_correlation_is_invariant_under_the_half_turn(data):
+    # The half turn (x, t) -> (S + N - 1 - x, T - t) maps the model to itself.
+    model = _model(data, 4, 10)
+    k = data.draw(st.integers(1, 3), label="points")
+    points = list({_slice_point(data, model) for _ in range(k)})
+    top = model.S + model.N - 1
+    turned = [(top - x, model.T - t) for x, t in points]
+    assert correlation(model, points) == correlation(model, turned)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_static_kernel_is_symmetric(data):
+    model = _model(data, 4, 10)
+    t = data.draw(st.integers(0, model.T), label="t")
+    support = slice_params(model, t).support
+    for x in support:
+        for y in support:
+            assert static_kernel(model, t, x, y) == static_kernel(model, t, y, x), (x, y)
 
 
 # Bit lengths of SignedSqrt parts, and log2 targets for the value: ordinary,

@@ -34,7 +34,6 @@ def test_arithmetic():
     b = SignedSqrt(3, 8)
     assert (a * b).square() == Fraction(9 * 16 // 4, 1)
     assert (a + b) == SignedSqrt(Fraction(13, 2), 2)
-    assert (b - a) == SignedSqrt(Fraction(11, 2), 2)
     assert float(SignedSqrt(1, 4)) == 2.0
     assert float(SignedSqrt(-1, 2)) == pytest.approx(-(2**0.5))
 
