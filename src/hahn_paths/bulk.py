@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, cos, pi, sin
 
 from .combinatorics import ModelParams
-from .errors import BoundaryRegimeError, PoleOnContourError, PrecisionLossError
+from .errors import BoundaryRegimeError, FloatRangeError, PoleOnContourError, PrecisionLossError
 from .hahn import slice_params
 from .kernels import extended_kernel
 
@@ -336,21 +336,27 @@ def particle_hole_duality_residual(params: LimitKernelParams, dx: int, dt: int) 
     if dt % 2 != 0:
         raise ValueError(f"duality shear needs even dt, got {dt}")
     c, phi = params.c, params.phi
-    if c > 1.0:
-        c_inv, dx_inv, _ = amplitude_inversion(c, dx, dt)
-        return particle_hole_duality_residual(LimitKernelParams(c_inv, phi), dx_inv, dt)
-    ours = extended_sine_kernel(params, dx, dt)
-    psi = pi - phi
-    if c == 1.0 and dt < 0 and psi == 0.0:
-        raise PoleOnContourError("c = 1 with psi = 0 puts the hole-side pole on its arc")
-    # The hole-side kernel, the arc integral of (1-w)^dt w^(dx-1) on the radius-c
-    # circle (through +c when dt >= 0, -c when dt < 0), is c^dx times the
-    # unit-circle integral at amplitude -c, by w = c v.
-    side = Side.RIGHT if dt >= 0 else Side.LEFT
-    raw = c**dx * arc_integral(-c, psi, dx, dt, side)
-    transformed = (-1) ** dx * c ** (-dx) * raw
-    delta = 1.0 if (dx == 0 and dt == 0) else 0.0
-    return ours - (delta - transformed)
+    # Every power of c below, the kernels' included, can leave the float range at an extreme c.
+    try:
+        if c > 1.0:
+            c_inv, dx_inv, _ = amplitude_inversion(c, dx, dt)
+            return particle_hole_duality_residual(LimitKernelParams(c_inv, phi), dx_inv, dt)
+        ours = extended_sine_kernel(params, dx, dt)
+        psi = pi - phi
+        if c == 1.0 and dt < 0 and psi == 0.0:
+            raise PoleOnContourError("c = 1 with psi = 0 puts the hole-side pole on its arc")
+        # The hole-side kernel, the arc integral of (1-w)^dt w^(dx-1) on the radius-c
+        # circle (through +c when dt >= 0, -c when dt < 0), is c^dx times the
+        # unit-circle integral at amplitude -c, by w = c v.
+        side = Side.RIGHT if dt >= 0 else Side.LEFT
+        raw = c**dx * arc_integral(-c, psi, dx, dt, side)
+        transformed = (-1) ** dx * c ** (-dx) * raw
+        delta = 1.0 if (dx == 0 and dt == 0) else 0.0
+        return ours - (delta - transformed)
+    except OverflowError:
+        raise FloatRangeError(
+            f"particle-hole duality residual at dx={dx}, dt={dt} (c={c}) is beyond the float range"
+        ) from None
 
 
 # -- convergence probe -------------------------------------------------------

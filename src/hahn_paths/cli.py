@@ -18,6 +18,7 @@ import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
 from .bulk import (
     LimitRegime,
@@ -149,19 +150,23 @@ def _model_json(model: ModelParams) -> dict:
 
 
 def _trajectory_to_runs(traj: Trajectory) -> list[str]:
-    runs = []
-    for i in range(traj.model.N):
-        moves = traj.moves(i)
-        encoded = []
-        pos = 0
-        while pos < len(moves):
-            end = pos
-            while end < len(moves) and moves[end] == moves[pos]:
-                end += 1
-            encoded.append(f"{end - pos}{'U' if moves[pos] else 'F'}")
-            pos = end
-        runs.append("".join(encoded))
-    return runs
+    return list(map(_run_code, traj.paths))
+
+
+# One entry per distinct path: the (4, 4, 8) model has at most 4 C(8, 4) = 280.
+@lru_cache(maxsize=1024)
+def _run_code(heights: tuple[int, ...]) -> str:
+    """The path code of one path's heights: <count>F or <count>U per run of equal steps."""
+    moves = tuple(map(sub, heights[1:], heights))
+    encoded = []
+    pos = 0
+    while pos < len(moves):
+        end = pos
+        while end < len(moves) and moves[end] == moves[pos]:
+            end += 1
+        encoded.append(f"{end - pos}{'U' if moves[pos] else 'F'}")
+        pos = end
+    return "".join(encoded)
 
 
 def _runs_to_trajectory(model: ModelParams, runs: list[str]) -> Trajectory:

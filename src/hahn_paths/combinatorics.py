@@ -12,10 +12,11 @@ them, which is the probabilistic oracle every other module is tested against.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, product
 from math import comb, prod
+from operator import lt, sub
 
 from .errors import EnumerationCapExceeded
 
@@ -82,32 +83,44 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One family of N non-intersecting paths: positions[t] holds the N heights at time t."""
+    """One family of N non-intersecting paths: positions[t] holds the N heights at time t.
+
+    ``paths[i]`` holds the heights of path i at t = 0..T, the transpose of
+    ``positions``; the checks run over these columns, and walk the times only
+    to name the first t at which a failed check fails.
+    """
 
     model: ModelParams
     positions: tuple[tuple[int, ...], ...]
+    paths: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        model = self.model
-        if len(self.positions) != model.T + 1:
+        model, positions = self.model, self.positions
+        if len(positions) != model.T + 1:
             raise ValueError(
-                f"trajectory has {len(self.positions)} times, expected t = 0..{model.T}"
+                f"trajectory has {len(positions)} times, expected t = 0..{model.T}"
             )
-        for t, now in enumerate(self.positions):
-            if len(now) != model.N:
-                raise ValueError(f"{len(now)} positions at t={t}, expected N={model.N}")
-            if any(b <= a for a, b in zip(now, now[1:])):
-                raise ValueError(f"positions at t={t} must be strictly increasing: {now}")
+        paths = tuple(zip(*positions))
+        if set(map(len, positions)) != {model.N} or not all(
+            all(map(lt, lower, upper)) for lower, upper in zip(paths, paths[1:])
+        ):
+            for t, now in enumerate(positions):
+                if len(now) != model.N:
+                    raise ValueError(f"{len(now)} positions at t={t}, expected N={model.N}")
+                if any(b <= a for a, b in zip(now, now[1:])):
+                    raise ValueError(f"positions at t={t} must be strictly increasing: {now}")
         start = tuple(range(model.N))
-        if self.positions[0] != start:
+        if positions[0] != start:
             raise ValueError(f"trajectory must start at {start}")
-        for t in range(model.T):
-            steps = zip(self.positions[t], self.positions[t + 1])
-            if any(y - x not in (0, 1) for x, y in steps):
-                raise ValueError(f"illegal step between t={t} and t={t + 1}")
+        if not all({0, 1}.issuperset(map(sub, path[1:], path)) for path in paths):
+            for t in range(model.T):
+                steps = zip(positions[t], positions[t + 1])
+                if any(y - x not in (0, 1) for x, y in steps):
+                    raise ValueError(f"illegal step between t={t} and t={t + 1}")
         end = tuple(model.S + i for i in range(model.N))
-        if self.positions[-1] != end:
+        if positions[-1] != end:
             raise ValueError(f"trajectory must end at {end}")
+        object.__setattr__(self, "paths", paths)
 
     @classmethod
     def from_moves(cls, model: ModelParams, moves: Sequence[Sequence[int]]) -> Trajectory:
@@ -122,7 +135,8 @@ class Trajectory:
 
     def moves(self, i: int) -> tuple[int, ...]:
         """Per-step increments (0 = flat, 1 = up) of path i."""
-        return tuple(b[i] - a[i] for a, b in zip(self.positions, self.positions[1:]))
+        path = self.paths[i]
+        return tuple(map(sub, path[1:], path))
 
 
 def count_path_families(t1: int, a: list[int], t2: int, b: list[int]) -> int:

@@ -50,8 +50,10 @@ class SignedSqrt:
     __slots__ = ("coeff", "radicand")
 
     def __init__(self, coeff: Fraction | int, radicand: Fraction | int = _ONE):
-        coeff = Fraction(coeff)
-        radicand = Fraction(radicand)
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        if not isinstance(radicand, Fraction):
+            radicand = Fraction(radicand)
         if radicand < 0:
             raise ValueError(f"negative radicand: {radicand}")
         if coeff == 0 or radicand == 0:

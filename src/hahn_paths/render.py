@@ -148,7 +148,7 @@ def render_svg(traj: Trajectory, style: str = "rhombi") -> str:
     outline = [project(t, x) for t, x in hexagon_vertices(model)]
     canvas.polyline(outline + outline[:1], "outline", "#bbbbbb")
     for i in range(model.N):
-        points = [project(t, now[i]) for t, now in enumerate(traj.positions)]
+        points = [project(t, x) for t, x in enumerate(traj.paths[i])]
         canvas.polyline(points, f"path path-{i}", "#1f3864")
         for t, step in enumerate(traj.moves(i)):
             cls = "up" if step == 1 else "flat"

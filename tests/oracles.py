@@ -14,8 +14,9 @@ limiting difference operator and the tangency of the inscribed ellipse, a
 gauge conjugation of kernel matrices, the brute-force listing of every
 path family by a depth-first walk over move vectors, against the forward
 count over run-hole successors, occupation tables from one pass over that
-listing, and quadrature of the arc integrals that
-``bulk.arc_integral`` evaluates in closed form.  For the
+listing, the trajectory checks and path codes read time by time and point
+by point, against the library's path columns, and quadrature of the arc
+integrals that ``bulk.arc_integral`` evaluates in closed form.  For the
 quadrature, adaptive Simpson serves short offsets; composite Gauss-Legendre,
 one panel per oscillation, serves offsets in the thousands, where the
 adaptive oracle runs out of panels.
@@ -613,6 +614,48 @@ def enumerate_path_families(model: ModelParams) -> list[Trajectory]:
 
     dfs(0, [tuple(range(N))])
     return families
+
+
+def check_positions_pointwise(model: ModelParams, positions) -> None:
+    """The trajectory checks time by time and point by point, raising ValueError.
+
+    The same checks, in the same order and with the same messages, that
+    ``Trajectory`` runs over whole path columns.
+    """
+    if len(positions) != model.T + 1:
+        raise ValueError(f"trajectory has {len(positions)} times, expected t = 0..{model.T}")
+    for t, now in enumerate(positions):
+        if len(now) != model.N:
+            raise ValueError(f"{len(now)} positions at t={t}, expected N={model.N}")
+        if any(b <= a for a, b in zip(now, now[1:])):
+            raise ValueError(f"positions at t={t} must be strictly increasing: {now}")
+    start = tuple(range(model.N))
+    if positions[0] != start:
+        raise ValueError(f"trajectory must start at {start}")
+    for t in range(model.T):
+        steps = zip(positions[t], positions[t + 1])
+        if any(y - x not in (0, 1) for x, y in steps):
+            raise ValueError(f"illegal step between t={t} and t={t + 1}")
+    end = tuple(model.S + i for i in range(model.N))
+    if positions[-1] != end:
+        raise ValueError(f"trajectory must end at {end}")
+
+
+def run_codes_pointwise(traj: Trajectory) -> list[str]:
+    """Each path's code, <count>F or <count>U per run of equal steps, read time by time."""
+    runs = []
+    for i in range(traj.model.N):
+        moves = tuple(b[i] - a[i] for a, b in zip(traj.positions, traj.positions[1:]))
+        encoded = []
+        pos = 0
+        while pos < len(moves):
+            end = pos
+            while end < len(moves) and moves[end] == moves[pos]:
+                end += 1
+            encoded.append(f"{end - pos}{'U' if moves[pos] else 'F'}")
+            pos = end
+        runs.append("".join(encoded))
+    return runs
 
 
 def oracle_tables(model: ModelParams) -> tuple[int, Counter, Counter]:

@@ -44,6 +44,11 @@ STATIC_CASES = [  # (model, t, mode, format, query)
     ("20,20,40", "20", "exact", "json", None),
     ("20,20,40", "33", "float", "csv", None),
 ]
+# SHA-256 of both files of each SAMPLE_CASES run, then of `render --index 3` of
+# the (6, 6, 12) file in every style, computed before trajectories were
+# checked and encoded path by path.
+SAMPLE_DIGEST = "99b9a2586071435fc0fbd04640a263851f5e77730c9409d5d226956846d749b1"
+SAMPLE_CASES = [("4,4,8", "100", "7"), ("6,6,12", "50", "9"), ("10,10,20", "2", "3")]
 
 
 def run(capsys, *argv):
@@ -385,6 +390,29 @@ def test_sample_deterministic_and_densities(capsys, tmp_path):
     assert doc["trajectory_file"].endswith(".trajectories.json")
 
 
+def test_sample_and_render_outputs_are_pinned(capsys, monkeypatch, tmp_path):
+    # Relative paths, as the summary names its trajectory file.
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for model, samples, seed in SAMPLE_CASES:
+        out = f"s-{model}.json"
+        code, _, err = run(
+            capsys, "sample", "--model", model, "--samples", samples, "--seed", seed,
+            "--out", out,
+        )
+        assert code == 0, err
+        for path in (out, out + ".trajectories.json"):
+            digest.update((tmp_path / path).read_bytes())
+    for style in ("paths", "surface", "rhombi"):
+        code, svg, err = run(
+            capsys, "render", "--trajectory", "s-6,6,12.json.trajectories.json",
+            "--index", "3", "--style", style,
+        )
+        assert code == 0, err
+        digest.update(svg.encode())
+    assert digest.hexdigest() == SAMPLE_DIGEST
+
+
 def test_sample_requires_out(capsys):
     code, _, _ = run(capsys, "sample", "--model", "1,1,2", "--samples", "1")
     assert code == 2
@@ -441,6 +469,15 @@ def test_limit_frozen_report(capsys):
 def test_limit_boundary_exit_4(capsys):
     code, _, _ = run(capsys, "limit", "--regime", "1,1,2,1,0")
     assert code == 4
+
+
+def test_limit_duality_residual_beyond_the_float_range_exit_4(capsys):
+    # c is about 2.4e-159 here, so c^-2 in the residual overflows.
+    regime = "1e-300,9.959867505377773e-07,897830.0883425387,605097.7673561512,1e-300"
+    code, out, err = run(capsys, "limit", "--regime", regime, "--dmax", "2")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: particle-hole duality residual")
 
 
 @pytest.mark.parametrize(

@@ -14,16 +14,19 @@ from hahn_paths import (
     IncompatibleRadicalsError,
     ModelParams,
     SignedSqrt,
+    Trajectory,
     orthonormal_function,
     slice_params,
     slice_weight,
 )
-from hahn_paths import hahn
+from hahn_paths import cli, hahn
 from hahn_paths.hahn import _SliceBasis, slice_basis
 from hahn_paths.kernels import _pair_table, correlation, extended_kernel, static_kernel
+from hahn_paths.process import sample_trajectory
 from oracles import (
     admissible_cases,
     case_params,
+    check_positions_pointwise,
     float_via_square,
     fraction_column,
     hahn_q,
@@ -31,6 +34,7 @@ from oracles import (
     param_tuple,
     recurrence_column,
     reduced_pair_column,
+    run_codes_pointwise,
 )
 
 SIDE = 2000
@@ -274,3 +278,63 @@ def test_float_equals_rounding_the_reduced_square(data):
     assert got == _float_or_error(value, float_via_square)
     if got is not FloatRangeError:
         assert math.copysign(1.0, got) == sign or got == 0.0
+
+
+def _sampled(data) -> Trajectory:
+    return sample_trajectory(_model(data, 4, 8), seed=data.draw(st.integers(0, 2**64 - 1)))
+
+
+PERTURBATIONS = ("none", "short row", "swap", "duplicate", "step of 2", "start", "end", "times")
+
+
+def _perturbed(data, model: ModelParams, positions: list[tuple[int, ...]]) -> tuple:
+    """The positions with one defect of the kind drawn, or none."""
+    kind = data.draw(st.sampled_from(PERTURBATIONS), label="perturbation")
+    t = data.draw(st.integers(0, model.T), label="t")
+    i = data.draw(st.integers(0, model.N - 1), label="i")
+    row = list(positions[t])
+    if kind == "short row":
+        del row[i]
+    elif kind == "swap" and i > 0:
+        row[i - 1], row[i] = row[i], row[i - 1]
+    elif kind == "duplicate" and i > 0:
+        row[i] = row[i - 1]
+    elif kind == "step of 2" and t > 0:
+        row[i] = positions[t - 1][i] + 2
+    elif kind in ("start", "end"):
+        t = 0 if kind == "start" else model.T
+        row = [x + data.draw(st.sampled_from([-1, 1]), label="shift") for x in positions[t]]
+    elif kind == "times":
+        if data.draw(st.booleans(), label="drop"):
+            return tuple(positions[:-1])
+        return (*positions, positions[-1])
+    positions[t] = tuple(row)
+    return tuple(positions)
+
+
+def _error(check, *args) -> str | None:
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_trajectory_raises_where_the_pointwise_check_does(data):
+    traj = _sampled(data)
+    positions = _perturbed(data, traj.model, list(traj.positions))
+    expected = _error(check_positions_pointwise, traj.model, positions)
+    assert _error(Trajectory, traj.model, positions) == expected
+    if expected is None:
+        assert Trajectory(traj.model, positions).paths == tuple(zip(*positions))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_path_codes_equal_the_pointwise_codes_and_decode_back(data):
+    traj = _sampled(data)
+    runs = cli._trajectory_to_runs(traj)
+    assert runs == run_codes_pointwise(traj)
+    assert cli._runs_to_trajectory(traj.model, runs) == traj
