@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, perm
 
 from .combinatorics import ModelParams
-from .errors import DegenerateParameterError
-from .radicals import SignedSqrt
+from .errors import DegenerateParameterError, IncompatibleRadicalsError
+from .radicals import SignedSqrt, exact_isqrt
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,14 @@ def _recurrence_coefficients(n: int, alpha: int, beta: int, M: int) -> tuple[int
     return a_num * c_den + c_num * a_den, a_den * c_den, c_num * a_den, d
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms with a positive denominator."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
 def _extend_over_lcd(den: int, ints: list[int], steps) -> tuple[int, list[int]]:
     """Append the values of a linear recurrence to integers over their least common denominator.
 
@@ -172,7 +180,7 @@ def _extend_over_lcd(den: int, ints: list[int], steps) -> tuple[int, list[int]]:
 
 
 class _SliceBasis:
-    """Cached per-slice data: weights, polynomial values, norms.
+    """Cached per-slice data: weights, polynomial values, norms, kernel factors.
 
     Weights are computed where something reads them and memoized, so the
     memo holds at most one entry per support point.  The values Q_0(x),
@@ -185,7 +193,7 @@ class _SliceBasis:
     works on those integers directly (see ``scaled_column``).  Norms are
     taken w.r.t. the factorial-form weight, obtained from the closed form
     through the constant Pochhammer/factorial ratio lambda, read at the left
-    end of the support.
+    end of the support.  The slice's factors of the kernel radicands are memoized too.
     """
 
     def __init__(self, model: ModelParams, t: int):
@@ -198,6 +206,10 @@ class _SliceBasis:
         self._coefficients: list[tuple[int, int, int, int]] = []
         self._columns: dict[int, tuple[int, list[int]]] = {}
         self._norm_memo: dict[int, Fraction] = {}
+        self._factors: dict[tuple[int, bool], tuple[int, list[int]]] = {}
+        self._ref_steps: list[tuple[int, int]] = []
+        self._radicand_scales: dict[tuple[int, bool], Fraction] = {}
+        self._radicand_parts: dict[tuple[int, int, bool], Fraction] = {}
         self.lam = _pochhammer_weight(0, p.alpha, p.beta, p.M) / self.weight(p.shift)
 
     def weight(self, x: int) -> Fraction:
@@ -245,13 +257,60 @@ class _SliceBasis:
             self._norm_memo[k] = value
         return value
 
-    def norm_step(self, k: int) -> tuple[int, int]:
-        """n_k / n_(k-1) as integers (num, den); a zero factor raises DegenerateParameterError."""
-        p = self.params
-        num, den = _norm_ratio(k, p.alpha, p.beta, p.M)
-        if not (num and den):
-            raise DegenerateParameterError(f"zero factor in the norm ratio at k={k} for {p}")
-        return num, den
+    def kernel_factors(self, lo: int, hi: int, right: bool) -> tuple[int, list[int]]:
+        """(A, [A a_lo, ..., A a_j]), j >= hi, or (B, [B b_lo, ...]) if right; lo is 0 or N.
+
+        Kernel term i between times s and t has the radicand R_i = P_i(s) P'_i(t),
+        with P_i = 1 / (n_i g_i) and P'_i = g_i / n_i: the coupling products
+        telescope into g_i = G_i / G_0, G_i = (t+N-i-1)! / (T+N-t-i-1)!.  With
+        ref = min(S, T - S) the slice of largest M, a_i = sqrt((P_i/P_lo)(t) /
+        (P_i/P_lo)(ref)) and b_i = n_lo / (n_i a_i) are rational, and
+        a_i(s) b_i(t) = sqrt(R_i / R_lo).  A step's square a_i^2 / a_(i-1)^2, from
+        the norm ratios at t and ref and g_(i-1) / g_i = (t+N-i) / (T+N-t-i) (both
+        terms >= 1 for i <= M_t <= M_ref), is reduced once and its root taken as
+        two integer roots; ``_extend_over_lcd`` keeps each factor over its lcd.
+        Every slice shares the ref's part of the steps, memoized on its basis.
+        """
+        den, ints = self._factors.get((lo, right), (1, [1]))
+        if hi < lo + len(ints):
+            return den, ints
+        model, t, steps = self._model, self._t, []
+        N, T, r = model.N, model.T, min(model.S, model.T - model.S)
+        p, ref = self.params, slice_basis(model, r)
+        q, ref_steps = ref.params, ref._ref_steps  # (T+N-r-i) r_num, (r+N-i) r_den
+        for i in range(len(ref_steps) + 1, hi + 1):
+            r_num, r_den = _norm_ratio(i, q.alpha, q.beta, q.M)
+            ref_steps.append(((T + N - r - i) * r_num, (r + N - i) * r_den))
+        for i in range(lo + len(ints), hi + 1):
+            t_num, t_den = _norm_ratio(i, p.alpha, p.beta, p.M)
+            r_num, r_den = ref_steps[i - 1]
+            sq_num = (t + N - i) * t_den * r_num
+            sq_den = (T + N - t - i) * t_num * r_den
+            if not (sq_num and sq_den):
+                raise DegenerateParameterError(f"zero factor in a norm ratio at k={i}: {p}, {q}")
+            root_num, root_den = map(exact_isqrt, _reduced(sq_num, sq_den))
+            if root_num is None or root_den is None:
+                raise IncompatibleRadicalsError(f"kernel terms {lo} and {i} at time {t}")
+            if right:  # b_i / b_(i-1) = (n_(i-1) / n_i) (a_(i-1) / a_i)
+                root_num, root_den = _reduced(t_den * root_den, t_num * root_num)
+            steps.append((root_num, 0, root_den))
+        den, ints = self._factors[lo, right] = _extend_over_lcd(den, ints, steps)
+        return den, ints
+
+    def radicand_part(self, lo: int, x: int, right: bool) -> Fraction:
+        """w(x) P_lo, or w(x) P'_lo if right, memoized per point (see ``kernel_factors``).
+
+        g_0 = 1 and g_N = (T-t)_N / (t)_N; lo = N needs 0 < t < T, where M >= N.
+        """
+        value = self._radicand_parts.get((lo, x, right))
+        if value is None:
+            scale = self._radicand_scales.get((lo, right))
+            if scale is None:
+                T, t = self._model.T, self._t
+                g = Fraction(perm(T - t + lo - 1, lo), perm(t + lo - 1, lo)) if lo else Fraction(1)
+                scale = self._radicand_scales[lo, right] = (g if right else 1 / g) / self.norm2(lo)
+            value = self._radicand_parts[lo, x, right] = self.weight(x) * scale
+        return value
 
 
 @lru_cache(maxsize=1024)

@@ -1,23 +1,25 @@
 """Static, complementary, and extended correlation kernels, and correlation determinants.
 
 The extended kernel couples two time slices through products of coupling
-coefficients.  Every entry is an exact rational multiple of a single square
-root, so correlation determinants can be computed exactly: a diagonal gauge
-built from the slice weights and 0-th norms turns the kernel matrix into a
-rational matrix without changing any determinant.
+coefficients, which telescope into one factor per slice, kept on the slice
+bases (this module holds no cache).  Every entry is an exact rational
+multiple of a single square root, so correlation determinants can be
+computed exactly: a diagonal gauge built from the slice weights and 0-th
+norms turns the kernel matrix into a rational matrix without changing any
+determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import frexp, gcd, lcm, ldexp
+from math import frexp, lcm, ldexp
+from operator import mul
 
 from .combinatorics import ModelParams, det_bareiss
 from .errors import FloatRangeError, IncompatibleRadicalsError
-from .hahn import _extend_over_lcd, pochhammer, slice_basis
-from .radicals import SignedSqrt, exact_isqrt, sqrt_fraction
+from .hahn import slice_basis
+from .radicals import SignedSqrt, sqrt_fraction
 
 
 @dataclass(frozen=True)
@@ -54,110 +56,45 @@ def complementary_kernel(model: ModelParams, t: int, x: int, y: int) -> SignedSq
     return value
 
 
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num / den in lowest terms with a positive denominator."""
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
-    return num // g, den // g
-
-
-@lru_cache(maxsize=2048)
-def _pair_table(model: ModelParams, s: int, t: int) -> tuple[int, Fraction, int, tuple[int, ...]]:
-    """What every kernel entry between times s and t shares: (lo, R, L, ratios).
-
-    Term i of K((x, s); (y, t)) is Q_i(x) Q_i(y) sqrt(w_x w_y R_i), with
-    R_i = 1 / (n_i^s n_i^t prod c_i^2) for i < N when s >= t, and
-    R_i = prod c_i^2 / (n_i^s n_i^t) for N <= i <= min(M_s, M_t) when s < t,
-    the product over the steps between the two times.  R = R_lo, and
-    ratios[i - lo] / L = +-sqrt(R_i / R) is rational, negative when s < t:
-    the ratios are integers over their least common denominator L.  Each
-    step's square R_i / R_(i-1) is built from small integers and reduced
-    once, and its root is the coprime pair of integer roots of its two terms.
-    The running ratio is kept over its least common denominator by the
-    stepper of the Hahn columns, ``_extend_over_lcd``, with steps
-    (root_num, 0, root_den).
-    """
-    b_s = slice_basis(model, s)
-    b_t = slice_basis(model, t)
-    if s >= t:
-        indices, sign = range(model.N), 1
-    else:
-        indices, sign = range(model.N, min(b_s.params.M, b_t.params.M) + 1), -1
-    lo = indices.start
-    if not indices:
-        return lo, Fraction(0), 1, ()
-    # prod_{j=a}^{b-1} c_i(j)^2 = (a+N-i)_d (T+N-b-i)_d / ((a+N)_d (T+N-b)_d), d = b-a;
-    # every factor is positive: i < N, or i <= M_a <= a+N-1 and i <= M_b <= T-b+N-1.
-    N, T, a, b = model.N, model.T, min(s, t), max(s, t)
-    d = b - a
-    prod_c2 = Fraction(
-        pochhammer(a + N - lo, d) * pochhammer(T + N - b - lo, d),
-        pochhammer(a + N, d) * pochhammer(T + N - b, d),
-    )
-    radicand = 1 / (b_s.norm2(lo) * b_t.norm2(lo))
-    radicand = radicand / prod_c2 if s >= t else radicand * prod_c2
-    # R_i / R_(i-1) from small integers: the norm ratios n_i / n_(i-1), and
-    # prod c_i^2 / prod c_(i-1)^2 = u v / ((u + d) (v + d)), u = a+N-i, v = T+N-b-i.
-    steps = []
-    for i in indices[1:]:
-        u, v = a + N - i, T + N - b - i
-        c2_num, c2_den = u * v, (u + d) * (v + d)
-        if s >= t:
-            c2_num, c2_den = c2_den, c2_num
-        s_num, s_den = b_s.norm_step(i)
-        t_num, t_den = b_t.norm_step(i)
-        num, den = _reduced(c2_num * s_den * t_den, c2_den * s_num * t_num)
-        root_num, root_den = exact_isqrt(num), exact_isqrt(den)
-        if root_num is None or root_den is None:
-            raise IncompatibleRadicalsError(
-                f"kernel terms {lo} and {i} between times {s} and {t}"
-                " have incompatible radicands"
-            )
-        steps.append((root_num, 0, root_den))
-    lcd, ratios = _extend_over_lcd(1, [sign], steps)
-    return lo, radicand, lcd, tuple(ratios)
-
-
 def extended_kernel(
     model: ModelParams, p: tuple[int, int], q: tuple[int, int]
 ) -> SignedSqrt:
     """Space-time kernel entry K(p; q) with p = (x, s), q = (y, t), exactly.
 
-    The coefficient is one integer dot product of the two scaled columns
-    against the scaled ratios, divided once by the three denominators.
+    Term i is Q_i(x) Q_i(y) sqrt(w_x w_y R_i) for i < N when s >= t, negated
+    for N <= i <= min(M_s, M_t) when s < t.  The coefficient is one integer
+    dot product of the two scaled columns against the slices' radical factors
+    a_i(s) b_i(t) = sqrt(R_i / R_lo), divided once by the denominators.
     """
     x, s = p
     y, t = q
     b_s = slice_basis(model, s)
     b_t = slice_basis(model, t)
-    if x not in b_s.support or y not in b_t.support:
+    if s >= t:
+        lo, hi, sign = 0, model.N - 1, 1
+    else:
+        lo, hi, sign = model.N, min(b_s.params.M, b_t.params.M), -1
+    if x not in b_s.support or y not in b_t.support or hi < lo:
         return SignedSqrt.zero()
-    lo, radicand, lcd, ratios = _pair_table(model, s, t)
-    if not ratios:
-        return SignedSqrt.zero()
-    hi = lo + len(ratios) - 1
     den_x, col_x = b_s.scaled_column(x, hi)
     den_y, col_y = b_t.scaled_column(y, hi)
-    acc = 0
-    ref = None
-    for qx, qy, ratio in zip(col_x[lo:], col_y[lo:], ratios):
+    den_a, a = b_s.kernel_factors(lo, hi, False)
+    den_b, b = b_t.kernel_factors(lo, hi, True)
+    acc, ref = 0, None
+    for qx, qy, factor in zip(col_x[lo : hi + 1], col_y[lo : hi + 1], map(mul, a, b)):
         term = qx * qy
         if term:
-            # Keep the radicand a term-by-term SignedSqrt sum ends with, that
-            # of the last term added to a zero partial sum: `kernel` prints it.
-            # The scale den_x den_y lcd is positive, so acc is zero exactly
-            # when the rational partial sum is.
+            # Keep the radicand a term-by-term SignedSqrt sum ends with, that of
+            # the last term added to a zero partial sum: `kernel` prints it.  The
+            # scale den_x den_y den_a den_b > 0, so acc is 0 iff the sum is.
             if not acc:
-                ref = ratio
-            acc += term * ratio
+                ref = factor
+            acc += term * factor
     if not acc:
         return SignedSqrt.zero()
-    w_pair = b_s.weight(x) * b_t.weight(y)
-    return SignedSqrt(
-        Fraction(acc, den_x * den_y * abs(ref)),
-        w_pair * radicand * Fraction(ref * ref, lcd * lcd),
-    )
+    radicand = b_s.radicand_part(lo, x, False) * b_t.radicand_part(lo, y, True)
+    ratio_sq = Fraction(ref * ref, (den_a * den_b) ** 2)
+    return SignedSqrt(Fraction(sign * acc, den_x * den_y * ref), radicand * ratio_sq)
 
 
 def _gauge(

@@ -4,11 +4,13 @@ Each function here computes a quantity a second way, independently of the
 path the library takes: the terminating Hahn series and the closed-form
 norms against the recurrence columns and chained norms, the classical
 identities of the slice polynomials, recurrence columns stepped in
-Fractions and in reduced integer pairs, and kernel pair tables stepped in
-Fractions, against the library's integers over a running least common
-denominator, the rounding of an exact root from its reduced square, the
-four-case table of slice parameters against ``slice_params``'s closed
-form, the determinantal transition law, the particle-by-particle walk
+Fractions and in reduced integer pairs, and kernel pair tables and per-slice
+radical factors stepped in Fractions, against the library's integers over a
+running least common denominator, the Eynard-Mehta kernel over binomial
+transitions, which shares nothing with the Hahn path, the rounding of an
+exact root from its reduced square, the four-case table of slice
+parameters against ``slice_params``'s closed form, the determinantal
+transition law, the particle-by-particle walk
 of the sampler's transition tables and the coupled transfer series, the
 limiting difference operator and the tangency of the inscribed ellipse, a
 gauge conjugation of kernel matrices, the brute-force listing of every
@@ -25,6 +27,7 @@ adaptive oracle runs out of panels.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import Counter
 from enum import Enum
@@ -55,7 +58,7 @@ from hahn_paths.hahn import (
     pochhammer,
     slice_basis,
 )
-from hahn_paths.kernels import _reduced
+from hahn_paths.hahn import _reduced
 from hahn_paths.process import _validate_config, _vandermonde
 from hahn_paths.radicals import sqrt_fraction
 
@@ -689,7 +692,12 @@ def _fraction_norm_step(basis, k: int) -> Fraction:
 def pair_table_fractions(
     model: ModelParams, s: int, t: int
 ) -> tuple[int, Fraction, int, tuple[int, ...]]:
-    """``kernels._pair_table`` with each step a Fraction: its square, root and running ratio."""
+    """The kernel's (s, t) pair table, (lo, R_lo, L, ratios), with each step a Fraction.
+
+    Term i of K((x, s); (y, t)) has the radicand R_i = R_lo (ratios[i-lo] / L)^2,
+    from the coupling products between the two times and the norms of both
+    slices; the library builds the same terms from one factor per slice.
+    """
     b_s = slice_basis(model, s)
     b_t = slice_basis(model, t)
     if s >= t:
@@ -723,6 +731,110 @@ def pair_table_fractions(
     lcd = math.lcm(*(r.denominator for r in ratios))
     scaled = tuple(sign * r.numerator * (lcd // r.denominator) for r in ratios)
     return lo, radicand, lcd, scaled
+
+
+def slice_factors_fractions(
+    model: ModelParams, t: int, lo: int, hi: int
+) -> tuple[list[Fraction], list[Fraction]]:
+    """``_SliceBasis.kernel_factors`` with each step a Fraction: a_lo..a_hi and b_lo..b_hi.
+
+    (P_i / P_(i-1))(u) = (n_(i-1) / n_i) (G_(i-1) / G_i)(u), with the G_i of
+    the library's docstring taken from their factorials.
+    """
+    N, S, T = model.N, model.S, model.T
+    r = min(S, T - S)
+    basis, ref = slice_basis(model, t), slice_basis(model, r)
+
+    def p_step(b, u: int, i: int) -> Fraction:
+        def g(j: int) -> Fraction:
+            return Fraction(math.factorial(u + N - j - 1), math.factorial(T + N - u - j - 1))
+
+        return g(i - 1) / g(i) / _fraction_norm_step(b, i)
+
+    a, b = [Fraction(1)], [Fraction(1)]
+    for i in range(lo + 1, hi + 1):
+        step = sqrt_fraction(p_step(basis, t, i) / p_step(ref, r, i))
+        if step is None:
+            raise IncompatibleRadicalsError(f"terms {lo} and {i} at time {t}")
+        a.append(a[-1] * step)
+        b.append(b[-1] / (_fraction_norm_step(basis, i) * step))
+    return a, b
+
+
+# -- the Eynard-Mehta kernel over binomial transitions -----------------------
+
+
+def _binomial(d: int, k: int) -> int:
+    """C(d, k): the d-step paths that rise k times; zero for k outside 0..d."""
+    return math.comb(d, k) if 0 <= k <= d else 0
+
+
+def _fraction_inverse(matrix: list[list[int]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix by Gauss-Jordan elimination in Fractions."""
+    n = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                factor = rows[i][k]
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[k])]
+    return [row[n:] for row in rows]
+
+
+def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
+    """Determinant by Gaussian elimination in Fractions."""
+    rows = [list(row) for row in matrix]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [v - factor * w for v, w in zip(rows[i], rows[k])]
+    return det
+
+
+@functools.lru_cache(maxsize=4)
+def _gram_inverse(model: ModelParams) -> list[list[Fraction]]:
+    """G^-1 for the Gram matrix G_(i,j) = C(T, S + j - i) of the path endpoints."""
+    N, S, T = model.N, model.S, model.T
+    return _fraction_inverse([[_binomial(T, S + j - i) for j in range(N)] for i in range(N)])
+
+
+def eynard_mehta_correlation(model: ModelParams, points) -> Fraction:
+    """Probability that every (x, t) point is occupied, from the Eynard-Mehta kernel.
+
+    By Lindstrom-Gessel-Viennot and the Eynard-Mehta theorem the paths, which
+    start at a_i = i and end at b_j = S + j and rise by 0 or 1 per step, form
+    a determinantal process with kernel
+    K(r,x; s,y) = sum_(i,j) C(T-r, b_j-x) (G^-1)_(j,i) C(s, y-a_i) - 1[r<s] C(s-r, y-x),
+    G_(i,j) = C(T, b_j - a_i).  Nothing here is shared with the Hahn path:
+    no weights, norms, recurrences or radicals.
+    """
+    N, S, T = model.N, model.S, model.T
+    inverse = _gram_inverse(model)
+    # Row p of the first sum before the C(s, y - a_i) factor: sum_j C(T-r, b_j-x) (G^-1)_(j,i).
+    left = {
+        (x, r): [sum(_binomial(T - r, S + j - x) * inverse[j][i] for j in range(N))
+                 for i in range(N)]
+        for x, r in points
+    }
+
+    def kernel(p, q) -> Fraction:
+        (x, r), (y, s) = p, q
+        value = sum(u * _binomial(s, y - i) for i, u in enumerate(left[p]))
+        return value - _binomial(s - r, y - x) if r < s else value
+
+    return _fraction_det([[kernel(p, q) for q in points] for p in points])
 
 
 def float_via_square(value: SignedSqrt) -> float:

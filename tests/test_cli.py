@@ -486,6 +486,7 @@ def test_limit_duality_residual_beyond_the_float_range_exit_4(capsys):
         ("--dmax", "100000000"),
         ("--rhos", "1e6"),
         ("--rhos", "20,40,1101"),  # the side rho * T~ = 2202 is above 2200
+        ("--rhos", "600,700,800"),  # each side is below 2200, their squares sum above
         ("--regime", "10,10,20,10,10", "--rhos", "221"),
     ],
     ids=" ".join,

@@ -90,7 +90,7 @@ def test_slice_identities_sweep():
             # d <= 0 or a zero denominator of A_n).
             for n in range(p.M):
                 assert _recurrence_coefficients(n, p.alpha, p.beta, p.M)[3] > 0
-            # No factor of a norm ratio is zero (_SliceBasis.norm_step raises
+            # No factor of a norm ratio is zero (_SliceBasis.kernel_factors raises
             # DegenerateParameterError on one).
             for k in range(1, p.M + 1):
                 num, den = _norm_ratio(k, p.alpha, p.beta, p.M)

@@ -19,9 +19,16 @@ from hahn_paths import (
     static_kernel,
     transfer_matrix,
 )
+from hahn_paths import kernels
 from hahn_paths.hahn import slice_basis
-from hahn_paths.kernels import _balanced, _det_float_report, _gauge, _pair_table
-from oracles import coupling_coefficient_sq, gauge_transform, hahn_q, oracle_tables
+from hahn_paths.kernels import _balanced, _det_float_report, _gauge
+from oracles import (
+    coupling_coefficient_sq,
+    eynard_mehta_correlation,
+    gauge_transform,
+    hahn_q,
+    oracle_tables,
+)
 
 # SHA-256 of the exact correlations of CORRELATION_QUERIES on (20,20,40),
 # computed before the kernel was built from pair tables and recurrence columns.
@@ -169,10 +176,11 @@ def test_pair_table_entries_match_per_term_sum_at_limit_probe_size():
     "model", [ModelParams(3, 2, 5), ModelParams(4, 6, 8), ModelParams(20, 20, 40)], ids=str
 )
 def test_pair_table_products_equal_per_step_products(model):
-    # The table telescopes prod_j c_i(j)^2 into one ratio of Pochhammer
-    # products; every (pair, index) radicand R_i = R ratio_i^2 must equal the
-    # one built from the per-step (clamped) coupling coefficients, with
-    # ratio_i = scaled_i / L.
+    # The slice factors telescope prod_j c_i(j)^2 between two times into one
+    # factor per slice; every (pair, index) radicand R_i = R_lo ratio_i^2
+    # must equal the one built from the per-step (clamped) coupling
+    # coefficients, with R_lo = P_lo(s) P'_lo(t) from the point radicands
+    # and ratio_i = a_i(s) b_i(t) = scaled_i / (A B).
     for s in range(model.T + 1):
         for t in range(model.T + 1):
             b_s, b_t = slice_basis(model, s), slice_basis(model, t)
@@ -181,16 +189,69 @@ def test_pair_table_products_equal_per_step_products(model):
             else:
                 indices = range(model.N, min(b_s.params.M, b_t.params.M) + 1)
                 steps = range(s, t)
-            lo, radicand, lcd, scaled = _pair_table(model, s, t)
-            assert (lo, len(scaled)) == (indices.start, len(indices)), (s, t)
-            for i, ratio in zip(indices, (Fraction(r, lcd) for r in scaled)):
+            if not indices:
+                continue
+            lo, hi = indices.start, indices[-1]
+            den_a, a = b_s.kernel_factors(lo, hi, False)
+            den_b, b = b_t.kernel_factors(lo, hi, True)
+            assert min(len(a), len(b)) >= len(indices), (s, t)
+            x, y = b_s.params.shift, b_t.params.shift
+            radicand = (b_s.radicand_part(lo, x, False) / b_s.weight(x)) * (
+                b_t.radicand_part(lo, y, True) / b_t.weight(y)
+            )
+            for i, a_i, b_i in zip(indices, a, b):
+                ratio = Fraction(a_i * b_i, den_a * den_b)
                 prod_c2 = Fraction(1)
                 for j in steps:
                     prod_c2 *= coupling_coefficient_sq(model, j, i)
                 rad = 1 / (b_s.norm2(i) * b_t.norm2(i))
                 want = rad / prod_c2 if s >= t else rad * prod_c2
                 assert radicand * ratio * ratio == want, (s, t, i)
-                assert (ratio > 0) == (s >= t), (s, t, i)
+                assert ratio > 0, (s, t, i)
+
+
+def test_kernels_hold_no_cache():
+    # Every kernel memo lives on the slice bases, so clearing `slice_basis`
+    # returns a process to cold.
+    own = [v for v in vars(kernels).values() if getattr(v, "__module__", None) == kernels.__name__]
+    assert own and not [v for v in own if hasattr(v, "cache_info")]
+    model, p, q = ModelParams(4, 6, 8), (3, 2), (6, 5)
+    value = extended_kernel(model, p, q)
+    slice_basis.cache_clear()
+    assert not slice_basis(model, 2)._factors and not slice_basis(model, 5)._factors
+    assert extended_kernel(model, p, q) == value
+    assert slice_basis(model, 2)._factors and slice_basis(model, 5)._factors
+
+
+def _eynard_mehta_queries(model, rng):
+    """Queries of 1-4 points: equal times, t = 0 and t = T, and points off the support."""
+    T = model.T
+
+    def point(t):
+        support = slice_basis(model, t).support
+        return rng.randint(support[0] - 1, support[-1] + 1), t
+
+    queries = [
+        [point(0)], [point(T)], [(model.N, 0)], [(model.N + model.S, T)],
+        [point(0), point(T)],
+    ]
+    while len(queries) < 24:
+        t = rng.randint(0, T)
+        times = [rng.choice([0, T, t, rng.randint(0, T)]) for _ in range(rng.randint(1, 4))]
+        queries.append(list(dict.fromkeys(point(u) for u in times)))
+    return queries
+
+
+@pytest.mark.parametrize("model", [ModelParams(20, 20, 40), ModelParams(7, 12, 30)], ids=str)
+def test_correlations_equal_the_eynard_mehta_kernel(model):
+    rng = random.Random(model.T)
+    values = []
+    for query in _eynard_mehta_queries(model, rng):
+        value = correlation(model, query)
+        assert value == eynard_mehta_correlation(model, query), query
+        values.append(value)
+    # Some queries hit points off the support, some do not.
+    assert 0 < values.count(0) < len(values) / 2
 
 
 def test_correlations_on_a_large_model_are_pinned():

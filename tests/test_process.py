@@ -21,7 +21,6 @@ from hahn_paths import (
     transition_probability,
 )
 from hahn_paths.hahn import pochhammer, slice_basis, slice_params
-from hahn_paths.kernels import _pair_table
 from hahn_paths.process import _normalization, _transition_table, _vandermonde
 from oracles import (
     coupling_coefficient_sq,
@@ -255,8 +254,6 @@ def test_transition_table_cache_is_bounded():
     # convergence probe at rho = 20, 40, 80 touches.
     for cache in (_transition_table, slice_basis, _normalization):
         assert cache.cache_info().maxsize == 1024
-    # Kernel pair tables: above the 41 * 41 time pairs of (20,20,40).
-    assert _pair_table.cache_info().maxsize == 2048
 
 
 def test_transitions_read_supports_without_a_slice_basis(monkeypatch):

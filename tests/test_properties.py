@@ -21,7 +21,7 @@ from hahn_paths import (
 )
 from hahn_paths import cli, hahn
 from hahn_paths.hahn import _SliceBasis, slice_basis
-from hahn_paths.kernels import _pair_table, correlation, extended_kernel, static_kernel
+from hahn_paths.kernels import correlation, extended_kernel, static_kernel
 from hahn_paths.process import sample_trajectory
 from oracles import (
     admissible_cases,
@@ -35,6 +35,7 @@ from oracles import (
     recurrence_column,
     reduced_pair_column,
     run_codes_pointwise,
+    slice_factors_fractions,
 )
 
 SIDE = 2000
@@ -96,20 +97,36 @@ def _time_pair(data, model: ModelParams) -> tuple[int, int]:
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_pair_table_equals_the_fraction_steps(data):
+    # The (s, t) pair table of the Fraction oracle, rebuilt from the two
+    # slices' factors: ratio_i / L = +-a_i(s) b_i(t) / (A B), and its radicand
+    # R_lo = P_lo(s) P'_lo(t) from the point radicands.
     model = _model(data, 30, 40)
     s, t = _time_pair(data, model)
-    table = _pair_table(model, s, t)
-    assert table == pair_table_fractions(model, s, t)
-    # L is the least common denominator of the ratios, as the oracle's lcm is.
-    _, _, lcd, ratios = table
-    assert math.gcd(lcd, *ratios) == 1
+    lo, radicand, lcd, ratios = pair_table_fractions(model, s, t)
+    assume(ratios)
+    b_s, b_t = slice_basis(model, s), slice_basis(model, t)
+    hi = lo + len(ratios) - 1
+    den_a, a = b_s.kernel_factors(lo, hi, False)
+    den_b, b = b_t.kernel_factors(lo, hi, True)
+    sign = 1 if s >= t else -1
+    products = [sign * Fraction(a_i * b_i, den_a * den_b) for a_i, b_i in zip(a, b)]
+    assert products[: len(ratios)] == [Fraction(r, lcd) for r in ratios]
+    x, y = b_s.params.shift, b_t.params.shift
+    assert (b_s.radicand_part(lo, x, False) / b_s.weight(x)) * (
+        b_t.radicand_part(lo, y, True) / b_t.weight(y)
+    ) == radicand
+    # A and B are the least common denominators of the factors.
+    assert math.gcd(den_a, *a) == math.gcd(den_b, *b) == 1
 
 
-def _fresh(table, model: ModelParams, s: int, t: int):
-    """table(model, s, t) from slice bases and pair tables built anew."""
+def _fresh_factors(model: ModelParams, t: int, lo: int, hi: int):
+    """(a_lo..a_hi, b_lo..b_hi) as Fractions from slice bases built anew."""
     slice_basis.cache_clear()
-    _pair_table.cache_clear()
-    return table(model, s, t)
+    basis = slice_basis(model, t)
+    den_a, a = basis.kernel_factors(lo, hi, False)
+    den_b, b = basis.kernel_factors(lo, hi, True)
+    n = hi - lo + 1
+    return [Fraction(v, den_a) for v in a[:n]], [Fraction(v, den_b) for v in b[:n]]
 
 
 @contextmanager
@@ -120,14 +137,16 @@ def _norm_ratio_replaced(replacement):
             yield
     finally:
         slice_basis.cache_clear()
-        _pair_table.cache_clear()
 
 
-def _table_index(data, model: ModelParams, s: int, t: int) -> int:
-    """An index i > lo of the (s, t) pair table, whose step R_i / R_(i-1) it takes."""
-    lo, _, _, ratios = pair_table_fractions(model, s, t)
-    assume(len(ratios) > 1)
-    return data.draw(st.integers(lo + 1, lo + len(ratios) - 1), label="i")
+def _factor_range(data, model: ModelParams) -> tuple[int, int, int, int]:
+    """A time t, lo in {0, N}, an hi > lo its factors reach, and a step lo < i <= hi."""
+    t = data.draw(st.integers(0, model.T), label="t")
+    lo = data.draw(st.sampled_from([0, model.N]), label="lo")
+    top = model.N - 1 if lo == 0 else slice_params(model, t).M
+    assume(top > lo)
+    hi = data.draw(st.integers(lo + 1, top), label="hi")
+    return t, lo, hi, data.draw(st.integers(lo + 1, hi), label="i")
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,10 +154,9 @@ def _table_index(data, model: ModelParams, s: int, t: int) -> int:
 def test_pair_table_refuses_a_zero_norm_factor(data):
     # No slice of a valid model has a closed-form norm ratio with a zero
     # factor (test_slice_identities_sweep), so one is forced at a step the
-    # table takes: the table refuses it by name.
+    # slice factors take: they refuse it by name.
     model = _model(data, 12, 16)
-    s, t = _time_pair(data, model)
-    at = _table_index(data, model, s, t)
+    t, lo, hi, at = _factor_range(data, model)
     zero_numerator = data.draw(st.booleans(), label="zero numerator")
     ratio = hahn._norm_ratio
 
@@ -150,20 +168,20 @@ def test_pair_table_refuses_a_zero_norm_factor(data):
 
     with _norm_ratio_replaced(forced):
         with pytest.raises(DegenerateParameterError):
-            _fresh(_pair_table, model, s, t)
+            _fresh_factors(model, t, lo, hi)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_pair_table_raises_where_the_fraction_steps_do(data):
-    # One slice's norm ratio scaled by a non-square factor makes a step's
-    # square irrational; the integer and Fraction steps must refuse the same
-    # tables and agree on every other one.
+    # The norm ratio of the slice or of the reference slice scaled by a
+    # non-square factor makes a step's square irrational; the integer and
+    # Fraction steps must refuse the same factors and agree on every other.
     model = _model(data, 12, 16)
-    s, t = _time_pair(data, model)
-    at = _table_index(data, model, s, t)
+    t, lo, hi, at = _factor_range(data, model)
     factor = data.draw(st.sampled_from([2, 3, 4, 9, 12]), label="factor")
-    p = slice_params(model, s)
+    scaled_t = data.draw(st.sampled_from([t, min(model.S, model.T - model.S)]), label="slice")
+    p = slice_params(model, scaled_t)
     ratio = hahn._norm_ratio
 
     def scaled(k, alpha, beta, M):
@@ -174,9 +192,9 @@ def test_pair_table_raises_where_the_fraction_steps_do(data):
 
     outcomes = []
     with _norm_ratio_replaced(scaled):
-        for table in (_pair_table, pair_table_fractions):
+        for factors in (_fresh_factors, slice_factors_fractions):
             try:
-                outcomes.append(_fresh(table, model, s, t))
+                outcomes.append(tuple(factors(model, t, lo, hi)))
             except IncompatibleRadicalsError:
                 outcomes.append(IncompatibleRadicalsError)
     assert outcomes[0] == outcomes[1]
