@@ -48,7 +48,7 @@ EXIT_INPUT = 2
 # Cost caps of `limit`: the sine-kernel table has 2 dmax + 1 entries, and a
 # convergence-probe row costs about its model side rho max(N~, T~) squared, to
 # within 12%: 2.6 s at side 2200 (regime 1,1,2,1,1, rho = 1100, fresh process) and
-# 0.44 s at side 960 (2-vCPU VM, CPython 3.11).  The rows' costs sum to the cap at most.
+# 0.44 s at side 960 (2-vCPU VM, CPython 3.11).  The hypot of the rows' sides is capped.
 LIMIT_MAX_DMAX = 10_000
 LIMIT_MAX_SIDE = 2200
 
@@ -342,9 +342,9 @@ def cmd_limit(args) -> int:
     ]
     if args.dmax > LIMIT_MAX_DMAX:
         raise ResourceLimitError(f"--dmax {args.dmax} exceeds the cap {LIMIT_MAX_DMAX}")
-    work = sum((rho * max(regime.Ntilde, regime.Ttilde)) ** 2 for rho in rhos)
-    if work > LIMIT_MAX_SIDE**2:
-        raise ResourceLimitError(f"--rhos: squared sides sum to {work:g}, above the cap")
+    side = math.hypot(*(rho * max(regime.Ntilde, regime.Ttilde) for rho in rhos))
+    if side > LIMIT_MAX_SIDE:
+        raise ResourceLimitError(f"--rhos sides combine to {side:g} over the cap {LIMIT_MAX_SIDE}")
     params = limit_params(regime)
     region = ellipse_classify(regime)
     report = {

@@ -206,10 +206,10 @@ class _SliceBasis:
         self._coefficients: list[tuple[int, int, int, int]] = []
         self._columns: dict[int, tuple[int, list[int]]] = {}
         self._norm_memo: dict[int, Fraction] = {}
-        self._factors: dict[tuple[int, bool], tuple[int, list[int]]] = {}
+        self._factors: dict[int, tuple[int, list[int], int, list[int]]] = {}
         self._ref_steps: list[tuple[int, int]] = []
-        self._radicand_scales: dict[tuple[int, bool], Fraction] = {}
-        self._radicand_parts: dict[tuple[int, int, bool], Fraction] = {}
+        self._radicand_scales: dict[int, Fraction] = {}
+        self._radicand_parts: dict[tuple[int, int], Fraction] = {}
         self.lam = _pochhammer_weight(0, p.alpha, p.beta, p.M) / self.weight(p.shift)
 
     def weight(self, x: int) -> Fraction:
@@ -257,8 +257,8 @@ class _SliceBasis:
             self._norm_memo[k] = value
         return value
 
-    def kernel_factors(self, lo: int, hi: int, right: bool) -> tuple[int, list[int]]:
-        """(A, [A a_lo, ..., A a_j]), j >= hi, or (B, [B b_lo, ...]) if right; lo is 0 or N.
+    def kernel_factors(self, lo: int, hi: int) -> tuple[int, list[int], int, list[int]]:
+        """(A, [A a_lo, ..., A a_j], B, [B b_lo, ..., B b_j]) for some j >= hi; lo is 0 or N.
 
         Kernel term i between times s and t has the radicand R_i = P_i(s) P'_i(t),
         with P_i = 1 / (n_i g_i) and P'_i = g_i / n_i: the coupling products
@@ -268,20 +268,21 @@ class _SliceBasis:
         a_i(s) b_i(t) = sqrt(R_i / R_lo).  A step's square a_i^2 / a_(i-1)^2, from
         the norm ratios at t and ref and g_(i-1) / g_i = (t+N-i) / (T+N-t-i) (both
         terms >= 1 for i <= M_t <= M_ref), is reduced once and its root taken as
-        two integer roots; ``_extend_over_lcd`` keeps each factor over its lcd.
-        Every slice shares the ref's part of the steps, memoized on its basis.
+        two integer roots, and b's step is n_(i-1) / n_i over that root.  Each list is
+        kept over its lcd by ``_extend_over_lcd``; every slice shares the ref's steps.
         """
-        den, ints = self._factors.get((lo, right), (1, [1]))
-        if hi < lo + len(ints):
-            return den, ints
-        model, t, steps = self._model, self._t, []
+        factors = self._factors.get(lo, (1, [1], 1, [1]))
+        den_a, a, den_b, b = factors
+        if hi < lo + len(a):
+            return factors
+        model, t, a_steps, b_steps = self._model, self._t, [], []
         N, T, r = model.N, model.T, min(model.S, model.T - model.S)
         p, ref = self.params, slice_basis(model, r)
         q, ref_steps = ref.params, ref._ref_steps  # (T+N-r-i) r_num, (r+N-i) r_den
         for i in range(len(ref_steps) + 1, hi + 1):
             r_num, r_den = _norm_ratio(i, q.alpha, q.beta, q.M)
             ref_steps.append(((T + N - r - i) * r_num, (r + N - i) * r_den))
-        for i in range(lo + len(ints), hi + 1):
+        for i in range(lo + len(a), hi + 1):
             t_num, t_den = _norm_ratio(i, p.alpha, p.beta, p.M)
             r_num, r_den = ref_steps[i - 1]
             sq_num = (t + N - i) * t_den * r_num
@@ -291,25 +292,27 @@ class _SliceBasis:
             root_num, root_den = map(exact_isqrt, _reduced(sq_num, sq_den))
             if root_num is None or root_den is None:
                 raise IncompatibleRadicalsError(f"kernel terms {lo} and {i} at time {t}")
-            if right:  # b_i / b_(i-1) = (n_(i-1) / n_i) (a_(i-1) / a_i)
-                root_num, root_den = _reduced(t_den * root_den, t_num * root_num)
-            steps.append((root_num, 0, root_den))
-        den, ints = self._factors[lo, right] = _extend_over_lcd(den, ints, steps)
-        return den, ints
+            a_steps.append((root_num, 0, root_den))
+            b_num, b_den = _reduced(t_den * root_den, t_num * root_num)
+            b_steps.append((b_num, 0, b_den))
+        den_a, a = _extend_over_lcd(den_a, a, a_steps)
+        factors = self._factors[lo] = den_a, a, *_extend_over_lcd(den_b, b, b_steps)
+        return factors
 
     def radicand_part(self, lo: int, x: int, right: bool) -> Fraction:
         """w(x) P_lo, or w(x) P'_lo if right, memoized per point (see ``kernel_factors``).
 
         g_0 = 1 and g_N = (T-t)_N / (t)_N; lo = N needs 0 < t < T, where M >= N.
         """
-        value = self._radicand_parts.get((lo, x, right))
+        key = lo if right else -lo  # P_0 = P'_0 = 1 / n_0: both sides share lo = 0
+        value = self._radicand_parts.get((key, x))
         if value is None:
-            scale = self._radicand_scales.get((lo, right))
+            scale = self._radicand_scales.get(key)
             if scale is None:
                 T, t = self._model.T, self._t
                 g = Fraction(perm(T - t + lo - 1, lo), perm(t + lo - 1, lo)) if lo else Fraction(1)
-                scale = self._radicand_scales[lo, right] = (g if right else 1 / g) / self.norm2(lo)
-            value = self._radicand_parts[lo, x, right] = self.weight(x) * scale
+                scale = self._radicand_scales[key] = (g if right else 1 / g) / self.norm2(lo)
+            value = self._radicand_parts[key, x] = self.weight(x) * scale
         return value
 
 

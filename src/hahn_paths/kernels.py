@@ -78,8 +78,8 @@ def extended_kernel(
         return SignedSqrt.zero()
     den_x, col_x = b_s.scaled_column(x, hi)
     den_y, col_y = b_t.scaled_column(y, hi)
-    den_a, a = b_s.kernel_factors(lo, hi, False)
-    den_b, b = b_t.kernel_factors(lo, hi, True)
+    den_a, a = b_s.kernel_factors(lo, hi)[:2]
+    den_b, b = b_t.kernel_factors(lo, hi)[2:]
     acc, ref = 0, None
     for qx, qy, factor in zip(col_x[lo : hi + 1], col_y[lo : hi + 1], map(mul, a, b)):
         term = qx * qy

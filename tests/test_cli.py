@@ -487,6 +487,8 @@ def test_limit_duality_residual_beyond_the_float_range_exit_4(capsys):
         ("--rhos", "1e6"),
         ("--rhos", "20,40,1101"),  # the side rho * T~ = 2202 is above 2200
         ("--rhos", "600,700,800"),  # each side is below 2200, their squares sum above
+        ("--rhos", "1e200"),  # the side's square overflows a float
+        ("--regime", "1,1,1e300,1,1", "--rhos", "1"),  # T~ = 1e300
         ("--regime", "10,10,20,10,10", "--rhos", "221"),
     ],
     ids=" ".join,

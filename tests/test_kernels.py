@@ -192,8 +192,8 @@ def test_pair_table_products_equal_per_step_products(model):
             if not indices:
                 continue
             lo, hi = indices.start, indices[-1]
-            den_a, a = b_s.kernel_factors(lo, hi, False)
-            den_b, b = b_t.kernel_factors(lo, hi, True)
+            den_a, a = b_s.kernel_factors(lo, hi)[:2]
+            den_b, b = b_t.kernel_factors(lo, hi)[2:]
             assert min(len(a), len(b)) >= len(indices), (s, t)
             x, y = b_s.params.shift, b_t.params.shift
             radicand = (b_s.radicand_part(lo, x, False) / b_s.weight(x)) * (
@@ -221,6 +221,15 @@ def test_kernels_hold_no_cache():
     assert not slice_basis(model, 2)._factors and not slice_basis(model, 5)._factors
     assert extended_kernel(model, p, q) == value
     assert slice_basis(model, 2)._factors and slice_basis(model, 5)._factors
+
+
+def test_radicand_parts_share_the_lo_0_entries():
+    # P_0 = P'_0 = 1 / n_0, so the left and right parts at lo = 0 are one memo entry.
+    basis = slice_basis(ModelParams(3, 4, 9), 5)
+    x = basis.params.shift + 1
+    assert basis.radicand_part(0, x, False) is basis.radicand_part(0, x, True)
+    assert basis.radicand_part(3, x, False) != basis.radicand_part(3, x, True)
+    assert len(basis._radicand_parts) == 3
 
 
 def _eynard_mehta_queries(model, rng):

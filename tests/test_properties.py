@@ -106,8 +106,8 @@ def test_pair_table_equals_the_fraction_steps(data):
     assume(ratios)
     b_s, b_t = slice_basis(model, s), slice_basis(model, t)
     hi = lo + len(ratios) - 1
-    den_a, a = b_s.kernel_factors(lo, hi, False)
-    den_b, b = b_t.kernel_factors(lo, hi, True)
+    den_a, a = b_s.kernel_factors(lo, hi)[:2]
+    den_b, b = b_t.kernel_factors(lo, hi)[2:]
     sign = 1 if s >= t else -1
     products = [sign * Fraction(a_i * b_i, den_a * den_b) for a_i, b_i in zip(a, b)]
     assert products[: len(ratios)] == [Fraction(r, lcd) for r in ratios]
@@ -123,8 +123,7 @@ def _fresh_factors(model: ModelParams, t: int, lo: int, hi: int):
     """(a_lo..a_hi, b_lo..b_hi) as Fractions from slice bases built anew."""
     slice_basis.cache_clear()
     basis = slice_basis(model, t)
-    den_a, a = basis.kernel_factors(lo, hi, False)
-    den_b, b = basis.kernel_factors(lo, hi, True)
+    den_a, a, den_b, b = basis.kernel_factors(lo, hi)
     n = hi - lo + 1
     return [Fraction(v, den_a) for v in a[:n]], [Fraction(v, den_b) for v in b[:n]]
 
