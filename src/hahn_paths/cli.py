@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
@@ -289,14 +290,16 @@ def cmd_sample(args) -> int:
     n = args.samples
     if n < 1:
         raise ValueError(f"--samples must be at least 1, got {n}")
-    counts: dict[int, dict[int, int]] = {t: {} for t in range(model.T + 1)}
+    paths: Counter[tuple[int, ...]] = Counter()
     records = []
     for k in range(n):
         traj = sample_trajectory(model, seed=args.seed + k)
         records.append({"paths": _trajectory_to_runs(traj)})
-        for t in range(model.T + 1):
-            for x in traj.positions[t]:
-                counts[t][x] = counts[t].get(x, 0) + 1
+        paths.update(traj.paths)
+    counts: dict[int, dict[int, int]] = {t: {} for t in range(model.T + 1)}
+    for heights, c in paths.items():
+        for t, x in enumerate(heights):
+            counts[t][x] = counts[t].get(x, 0) + c
     traj_path = args.out + ".trajectories.json"
     traj_doc = {
         "schema_version": SCHEMA_VERSION,

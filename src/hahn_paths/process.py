@@ -10,12 +10,17 @@ next support is left out; a step of weight <= 0 always does).  Each entry
 carries the integer weight Delta(y) prod_i a_i(eps_i), built from one
 factor per run and hole and the Vandermonde of the holes, and one 64-bit
 draw selects a move by an integer comparison against the cumulative weights.
+Built tables are kept in one store bounded by the number of weights it
+holds, which drops its largest tables first when a new one takes it over
+the budget; a step that finds its table there is one dict lookup, one
+``bisect`` and one list index.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -51,8 +56,6 @@ def _normalization(model: ModelParams, t: int) -> Fraction:
     """Partition function of the slice-t ensemble, from the closed-form norms."""
     basis = slice_basis(model, t)
     p = basis.params
-    if model.N > p.M + 1:
-        raise ValueError(f"N={model.N} exceeds support size {p.M + 1} at t={t}")
     z = Fraction(1)
     for k in range(model.N):
         kappa = _leading_coefficient(k, p.alpha, p.beta, p.M)
@@ -128,8 +131,7 @@ def _repeat_each(items, n: int):
     return chain.from_iterable(zip(*[items] * n))
 
 
-@lru_cache(maxsize=1024)
-def _transition_table(
+def _build_transition_table(
     model: ModelParams, t: int, positions: tuple[int, ...]
 ) -> tuple[Successors, tuple[int, ...]]:
     """Admissible successors of ``positions`` and their cumulative integer weights.
@@ -207,6 +209,65 @@ def _transition_table(
     return Successors(runs, holes), tuple(cum)
 
 
+# Cumulative weights the transition-table store may hold.  Every state of the
+# (4, 4, 8) model fits with room to spare, and a (10, 10, 20) run keeps its
+# revisited tables near t = 0 and t = T, which hold a small share of its weights.
+_TABLE_WEIGHT_BUDGET = 60_000
+
+_StoreInfo = namedtuple("_StoreInfo", "hits misses currsize weights")
+
+
+class _TransitionTables:
+    """Transition tables keyed by (N, S, T, t, positions), bounded by the weights they hold.
+
+    A call returns the cached table or builds it.  When a new table takes the
+    held weights over ``_TABLE_WEIGHT_BUDGET``, the largest tables go first
+    (the oldest among equal sizes), the new one included, until at most three
+    quarters of the budget is held: the states a run meets again are mostly
+    the small ones near t = 0 and t = T, while a large table in mid-time is
+    rarely drawn twice.  Eviction decides only when a table is built, never
+    what it holds, so the sampled stream does not depend on the budget.
+    """
+
+    def __init__(self):
+        self.tables: dict[tuple, tuple[Successors, tuple[int, ...]]] = {}
+        self.weights = self.hits = self.misses = 0
+        # Bound here, not defined on the class: perfbench's sweep calls
+        # cache_clear() on every attribute of this module that has one.
+        self.cache_clear = self._clear
+
+    def __call__(
+        self, model: ModelParams, t: int, positions: tuple[int, ...]
+    ) -> tuple[Successors, tuple[int, ...]]:
+        key = (model.N, model.S, model.T, t, positions)
+        table = self.tables.get(key)
+        if table is not None:
+            self.hits += 1
+            return table
+        table = self.tables[key] = _build_transition_table(model, t, positions)
+        self.misses += 1
+        self.weights += len(table[1])
+        if self.weights > _TABLE_WEIGHT_BUDGET:
+            floor = _TABLE_WEIGHT_BUDGET * 3 // 4
+            sizes = sorted(self.tables.items(), key=lambda item: len(item[1][1]), reverse=True)
+            for old, (_, cum) in sizes:
+                if self.weights <= floor:
+                    break
+                del self.tables[old]
+                self.weights -= len(cum)
+        return table
+
+    def cache_info(self) -> _StoreInfo:
+        return _StoreInfo(self.hits, self.misses, len(self.tables), self.weights)
+
+    def _clear(self) -> None:
+        self.tables.clear()
+        self.weights = self.hits = self.misses = 0
+
+
+_transition_table = _TransitionTables()
+
+
 def sample_trajectory(model: ModelParams, seed: int) -> Trajectory:
     """Draw one trajectory exactly from the uniform path-family measure.
 
@@ -222,11 +283,16 @@ def sample_trajectory(model: ModelParams, seed: int) -> Trajectory:
             f"exact sampler limited to N <= {SAMPLER_MAX_PATHS}, got N={model.N}"
         )
     rng = random.Random(seed)
-    positions = tuple(range(model.N))
+    N, S, T = model.N, model.S, model.T
+    positions = tuple(range(N))
     history = [positions]
-    for t in range(model.T):
-        candidates, cum = _transition_table(model, t, positions)
+    store = _transition_table
+    held = store.tables.get
+    misses = store.misses  # hits are counted once per trajectory, not per step
+    for t in range(T):
+        candidates, cum = held((N, S, T, t, positions)) or store(model, t, positions)
         i = bisect_right(cum, (rng.getrandbits(64) * cum[-1]) >> 64)
         positions = candidates.memo[i] or candidates[i]
         history.append(positions)
+    store.hits += T - (store.misses - misses)
     return Trajectory(model, tuple(history))

@@ -465,6 +465,22 @@ def test_convergence_probe_frozen_point():
     assert table.params.density == 0.0
 
 
+@pytest.mark.parametrize(
+    "regime, dts",
+    [(LimitRegime(1, 1, 2, 0.05, 0.5), (-2, -1)), (LimitRegime(1, 1, 2, 1.95, 1.5), (1, 2))],
+    ids=["near t=0", "near t=T"],
+)
+def test_convergence_probe_checks_one_sided_offsets_against_the_time_range(regime, dts):
+    # At rho = 20 the base time is 1 or 39 of T = 40.  Offsets on one side
+    # only reach t = -1 or t = 41 and are refused; the mirrored offsets stay
+    # inside and give a row.  Symmetric offsets cannot tell t_base + dt from
+    # t_base - dt.
+    with pytest.raises(ValueError, match="offsets leave the time range at rho=20"):
+        convergence_probe(regime, [(0, dt) for dt in dts], [20])
+    row = convergence_probe(regime, [(0, -dt) for dt in dts], [20]).rows[0]
+    assert [cell.offset for cell in row.cells] == [(0, -dt) for dt in dts]
+
+
 def test_probe_kernel_entries_are_pinned():
     table = convergence_probe(CENTER, PROBE_OFFSETS, [20, 40, 80])
     digest = hashlib.sha256()

@@ -21,7 +21,13 @@ from hahn_paths import (
     transition_probability,
 )
 from hahn_paths.hahn import pochhammer, slice_basis, slice_params
-from hahn_paths.process import _normalization, _transition_table, _vandermonde
+from hahn_paths.process import (
+    _build_transition_table,
+    _normalization,
+    _transition_table,
+    _TransitionTables,
+    _vandermonde,
+)
 from oracles import (
     coupling_coefficient_sq,
     enumerate_path_families,
@@ -220,7 +226,7 @@ def test_transition_successors_decode_in_any_order():
     # A fresh table, so that every successor is decoded here.
     model = ModelParams(6, 5, 12)
     x = (0, 1, 3, 5, 6, 7)
-    candidates, cum = _transition_table.__wrapped__(model, 4, x)
+    candidates, cum = _build_transition_table(model, 4, x)
     expected, _ = transition_table_walk(model, 4, x)
     assert len(candidates) == len(expected) == len(cum) > 1
     assert candidates[-1] == expected[-1]
@@ -245,15 +251,84 @@ def test_transition_table_refuses_an_unordered_configuration():
             _transition_table(ModelParams(2, 2, 4), 0, x)
 
 
-def test_transition_table_cache_is_bounded():
-    # Large enough for every (t, x) state of (4,4,8), the sample-hot model.
+@pytest.fixture
+def store(monkeypatch):
+    """A fresh transition-table store in place of the module's."""
+    fresh = _TransitionTables()
+    monkeypatch.setattr(process, "_transition_table", fresh)
+    return fresh
+
+
+def held_weights(store):
+    return sum(len(cum) for _, cum in store.tables.values())
+
+
+def test_transition_table_cache_is_bounded(store):
+    # Every (t, x) state of (4,4,8), the sample-hot model, fits under the
+    # budget, so once its tables are built a sampled trajectory only hits.
     m = ModelParams(4, 4, 8)
-    states = sum(1 for t in range(m.T) for _ in configs_at(m, t))
-    assert states <= _transition_table.cache_info().maxsize
+    states = [(t, x) for t in range(m.T) for x in configs_at(m, t)]
+    assert len(states) == 181
+    for t, x in states:
+        store(m, t, x)
+    info = store.cache_info()
+    assert info.currsize == info.misses == 181
+    assert info.weights == held_weights(store) <= process._TABLE_WEIGHT_BUDGET
+    for seed in range(20):
+        sample_trajectory(m, seed)
+    assert store.cache_info() == (20 * m.T, 181, 181, info.weights)
     # Every cache keyed by model is bounded; 1024 slices is above the 283 a
     # convergence probe at rho = 20, 40, 80 touches.
-    for cache in (_transition_table, slice_basis, _normalization):
+    for cache in (slice_basis, _normalization):
         assert cache.cache_info().maxsize == 1024
+
+
+def test_every_cache_of_the_module_clears():
+    # perfbench's sweep clears a process this way.
+    for value in vars(process).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    assert process._transition_table.cache_info() == (0, 0, 0, 0)
+
+
+def test_transition_tables_hold_at_most_the_budget(store, monkeypatch):
+    monkeypatch.setattr(process, "_TABLE_WEIGHT_BUDGET", 3000)
+    model = ModelParams(10, 10, 20)
+    for seed in range(4):
+        sample_trajectory(model, seed)
+        assert store.weights == held_weights(store) <= 3000
+    info = store.cache_info()
+    assert info.hits + info.misses == 4 * model.T
+    assert 0 < info.currsize < info.misses
+
+
+def test_eviction_keeps_the_sampled_stream(store, monkeypatch):
+    # With no budget every table is dropped as soon as it is built.
+    monkeypatch.setattr(process, "_TABLE_WEIGHT_BUDGET", 0)
+    assert cold_stream_digest() == COLD_DIGEST
+    assert store.cache_info() == (0, 200, 0, 0)
+
+
+def test_eviction_drops_the_largest_tables_first(store, monkeypatch):
+    budget = 400
+    monkeypatch.setattr(process, "_TABLE_WEIGHT_BUDGET", budget)
+    m = ModelParams(6, 6, 12)
+    evictions = 0
+    for t in range(m.T):
+        for x in configs_at(m, t):
+            before = {**store.tables}
+            table = store(m, t, x)
+            met = {**before, (m.N, m.S, m.T, t, x): table}
+            size = {key: len(cum) for key, (_, cum) in met.items()}
+            evicted = [size[key] for key in met if key not in store.tables]
+            if evicted:
+                evictions += 1
+                kept = [size[key] for key in store.tables]
+                assert min(evicted) >= max(kept, default=0)
+                assert store.weights <= budget * 3 // 4 < store.weights + min(evicted)
+            else:
+                assert store.weights <= budget
+    assert evictions > 10
 
 
 def test_transitions_read_supports_without_a_slice_basis(monkeypatch):
@@ -323,7 +398,7 @@ def test_trajectory_determinism_and_validity():
     assert any(sample_trajectory(m, seed=s) != t1 for s in range(1000, 1020))
 
 
-def test_sampler_stream_on_large_rows_is_pinned():
+def cold_stream_digest():
     model = ModelParams(10, 10, 20)
     digest = hashlib.sha256()
     for seed in range(10):
@@ -332,7 +407,11 @@ def test_sampler_stream_on_large_rows_is_pinned():
             ",".join("".join(map(str, traj.moves(i))) for i in range(model.N)).encode()
         )
         digest.update(b"\n")
-    assert digest.hexdigest() == COLD_DIGEST, "sampled stream changed byte-for-byte"
+    return digest.hexdigest()
+
+
+def test_sampler_stream_on_large_rows_is_pinned():
+    assert cold_stream_digest() == COLD_DIGEST, "sampled stream changed byte-for-byte"
 
 
 def test_sampler_distribution_short_run():
