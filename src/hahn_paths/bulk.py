@@ -18,8 +18,8 @@ from math import comb, cos, pi, sin
 
 from .combinatorics import ModelParams
 from .errors import BoundaryRegimeError, FloatRangeError, PoleOnContourError, PrecisionLossError
-from .hahn import slice_params
-from .kernels import extended_kernel
+from .hahn import _SliceBasis, slice_params
+from .kernels import kernel_entry
 
 class Side(Enum):
     RIGHT = "right"
@@ -415,7 +415,9 @@ def convergence_probe(
     prefactor g^dt (g from the macroscopic location) and compared to the
     extended sine kernel, which does not depend on rho and is evaluated
     once per offset.  If the rounded base point violates a needed support,
-    x is repaired within +-1 and the repair recorded.
+    x is repaired within +-1 and the repair recorded.  Each row builds the
+    bases of its window's slices itself and drops them when it ends, so only
+    the slice each model's kernel factors refer to enters ``slice_basis``.
     """
     params = limit_params(regime)
     x_dist, _, d3, d4 = regime.box_distances
@@ -449,9 +451,11 @@ def convergence_probe(
                 break
         if x_base is None:
             raise ValueError(f"no feasible base point near x={x_round} at rho={rho}")
+        bases = {t: _SliceBasis(model, t) for t in {t_base, *(t_base + dt for dt in dts)}}
         cells = []
         for dx, dt in offsets:
-            pre = float(extended_kernel(model, (x_base + dx, t_base), (x_base, t_base + dt)))
+            p, q = (x_base + dx, t_base), (x_base, t_base + dt)
+            pre = float(kernel_entry(model, p, q, bases[t_base], bases[q[1]]))
             aligned = pre / g**dt
             if (dx, dt) not in limits:
                 limits[dx, dt] = extended_sine_kernel(params, dx, dt)

@@ -15,16 +15,16 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, product
-from math import comb, prod
+from math import comb, factorial, prod
 from operator import lt, sub
 
 from .errors import EnumerationCapExceeded
 
 # Cost cap of the forward count, whose work is N T C(N + m, N) (see
 # _forward).  A unit of work took 1.5-12.4 us over shapes with N from 1 to
-# 100; with a query at t = 0, whose pass repeats the whole count, (16, 4, 20),
-# work 1.55e6, takes 19-26 s, and (8, 8, 16), work 1.65e6, 3.9-5.2 s (fresh
-# processes, 2-vCPU VM, CPython 3.11).
+# 100; with a query at t = 0 and t = T, whose pass repeats the whole count,
+# (16, 4, 20), work 1.55e6, takes 19-26 s, and (8, 8, 16), work 1.65e6,
+# 3.9-5.2 s (fresh processes, 2-vCPU VM, CPython 3.11).
 ENUMERATION_MAX_WORK = 1_700_000
 
 
@@ -76,9 +76,14 @@ class ModelParams:
             raise ValueError(f"need 0 <= S <= T, got S={self.S}, T={self.T}")
 
     def family_count(self) -> int:
-        starts = list(range(self.N))
-        ends = [self.S + i for i in range(self.N)]
-        return count_path_families(0, starts, self.T, ends)
+        """MacMahon's box product for the (a, b, c) = (N, S, T - S) hexagon:
+        prod_(i<a) i! (i+b+c)! / ((i+b)! (i+c)!)."""
+        a, b, c = self.N, self.S, self.T - self.S
+        num = den = 1
+        for i in range(a):
+            num *= factorial(i) * factorial(i + b + c)
+            den *= factorial(i + b) * factorial(i + c)
+        return num // den
 
 
 @dataclass(frozen=True)
@@ -227,12 +232,15 @@ def check_query(model: ModelParams, query: list[tuple[int, int]]) -> None:
             raise ValueError(f"query time {t} outside 0..{model.T}")
 
 
-def _forward(model: ModelParams, query=(), t0: int = 0, layer=None) -> list[dict]:
-    """F_t0..F_T, where F_t(z) counts the families from the start to z at time t.
+def _forward(
+    model: ModelParams, query=(), t0: int = 0, layer=None, t1: int | None = None
+) -> list[dict]:
+    """F_t0..F_t1, where F_t(z) counts the families from the start to z at time t.
 
     Only families through every query point at times up to t are counted.
     The pass starts from the start configuration at t0 = 0, or resumes from a
-    given ``layer`` F_t0 that an earlier pass counted.  Raises
+    given ``layer`` F_t0 that an earlier pass counted, and stops at t1 (by
+    default T).  Raises
     EnumerationCapExceeded before any work when N T C(N + m, N), with
     m = min(S, T - S), is above the cap: the largest slice has N + m points,
     and C(N + m, k) >= 2^k for k = min(N, m).
@@ -248,7 +256,7 @@ def _forward(model: ModelParams, query=(), t0: int = 0, layer=None) -> list[dict
     if layer is None:
         layer = {tuple(range(model.N)): 1}
     layers = []
-    for t in range(t0, model.T + 1):
+    for t in range(t0, (model.T if t1 is None else t1) + 1):
         if t > t0:
             p = slice_params(model, t)
             counts: dict[tuple[int, ...], int] = {}
@@ -268,25 +276,35 @@ def family_counts(model: ModelParams, query=()) -> tuple[int, list[dict[int, int
     ``occupation[t]`` maps each visited x, ascending, to its count.  The half
     turn (t, x) -> (T - t, S + N - 1 - x) maps the model to itself, so
     F_T-t(turned z) counts the families from z at time t to the end.  The
-    query pass starts from the layer at its first time.  Raises
-    EnumerationCapExceeded before any work.
+    query pass runs from the layer at its first time t0 to its last time t1,
+    and the families through the query are the sum over z of its F_t1(z)
+    times F_T-t1(turned z).  Raises ValueError for a query ``check_query``
+    refuses, and EnumerationCapExceeded, before any work.
     """
+    check_query(model, query)
     forward = _forward(model)
     total = sum(forward[-1].values())
     top = model.S + model.N - 1
+
+    def onward(t: int, z: tuple[int, ...]) -> int:
+        """The families from z at time t to the end."""
+        return forward[model.T - t].get(tuple(top - x for x in reversed(z)), 0)
+
     occupation = []
     for t, layer in enumerate(forward):
         counts: dict[int, int] = {}
         for z, n in layer.items():
-            n *= forward[model.T - t].get(tuple(top - x for x in reversed(z)), 0)
+            n *= onward(t, z)
             if n:
                 for x in z:
                     counts[x] = counts.get(x, 0) + n
         occupation.append(dict(sorted(counts.items())))
     if not query:
         return total, occupation, total
-    t0 = min(t for _, t in query)
-    return total, occupation, sum(_forward(model, query, t0, forward[t0])[-1].values())
+    times = [t for _, t in query]
+    t0, t1 = min(times), max(times)
+    last = _forward(model, query, t0, forward[t0], t1)[-1]
+    return total, occupation, sum(n * onward(t1, z) for z, n in last.items())
 
 
 def oracle_correlation(model: ModelParams, query: list[tuple[int, int]]) -> Fraction:

@@ -18,7 +18,7 @@ from operator import mul
 
 from .combinatorics import ModelParams, det_bareiss
 from .errors import FloatRangeError, IncompatibleRadicalsError
-from .hahn import slice_basis
+from .hahn import _SliceBasis, slice_basis
 from .radicals import SignedSqrt, sqrt_fraction
 
 
@@ -59,17 +59,24 @@ def complementary_kernel(model: ModelParams, t: int, x: int, y: int) -> SignedSq
 def extended_kernel(
     model: ModelParams, p: tuple[int, int], q: tuple[int, int]
 ) -> SignedSqrt:
-    """Space-time kernel entry K(p; q) with p = (x, s), q = (y, t), exactly.
+    """Space-time kernel entry K(p; q) with p = (x, s), q = (y, t), exactly."""
+    return kernel_entry(model, p, q, slice_basis(model, p[1]), slice_basis(model, q[1]))
+
+
+def kernel_entry(
+    model: ModelParams, p: tuple[int, int], q: tuple[int, int], b_s: _SliceBasis, b_t: _SliceBasis
+) -> SignedSqrt:
+    """K(p; q) with p = (x, s), q = (y, t), from the bases b_s and b_t of slices s and t.
 
     Term i is Q_i(x) Q_i(y) sqrt(w_x w_y R_i) for i < N when s >= t, negated
     for N <= i <= min(M_s, M_t) when s < t.  The coefficient is one integer
     dot product of the two scaled columns against the slices' radical factors
-    a_i(s) b_i(t) = sqrt(R_i / R_lo), divided once by the denominators.
+    a_i(s) b_i(t) = sqrt(R_i / R_lo), divided once by the denominators.  A
+    caller that reads many entries of a few slices fetches their bases once,
+    or builds bases of its own that it drops when done.
     """
     x, s = p
     y, t = q
-    b_s = slice_basis(model, s)
-    b_t = slice_basis(model, t)
     if s >= t:
         lo, hi, sign = 0, model.N - 1, 1
     else:
@@ -97,16 +104,22 @@ def extended_kernel(
     return SignedSqrt(Fraction(sign * acc, den_x * den_y * ref), radicand * ratio_sq)
 
 
+def static_matrix(model: ModelParams, t: int) -> list[list[SignedSqrt]]:
+    """The static kernel on every pair of slice t's support points, from one basis."""
+    basis = slice_basis(model, t)
+    return [
+        [kernel_entry(model, (x, t), (y, t), basis, basis) for y in basis.support]
+        for x in basis.support
+    ]
+
+
 def _gauge(
-    model: ModelParams, p: tuple[int, int], q: tuple[int, int], value: SignedSqrt
+    p: tuple[int, int], q: tuple[int, int], value: SignedSqrt, b_s: _SliceBasis, b_t: _SliceBasis
 ) -> Fraction:
-    """An entry value at (p; q) carried into the rationalizing gauge."""
+    """An entry value at (p; q) carried into the rationalizing gauge, from p's and q's bases."""
     if value.is_zero():
         return Fraction(0)
-    x, s = p
-    y, t = q
-    b_s = slice_basis(model, s)
-    b_t = slice_basis(model, t)
+    x, y = p[0], q[0]
     # The squared gauge factor of a slice is its 0-th norm: the norm recursion
     # n_i^{t+1} = n_i^t c_i(t)^2 kappa_t (rational square) has an i-independent
     # core kappa_t, and since c_0 = 1 identically the accumulated product of
@@ -210,6 +223,11 @@ def _balanced(entries) -> tuple[tuple[SignedSqrt, ...], ...]:
     )
 
 
+def _bases(model: ModelParams, points) -> dict[int, _SliceBasis]:
+    """The basis of each slice the points lie on, fetched once per slice."""
+    return {t: slice_basis(model, t) for t in {t for _, t in points}}
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
     """Exact extended-kernel values on all ordered pairs of query points.
@@ -226,14 +244,18 @@ class KernelMatrix:
     @classmethod
     def build(cls, model: ModelParams, query: CorrelationQuery) -> KernelMatrix:
         pts = query.points
-        rows = tuple(tuple(extended_kernel(model, p, q) for q in pts) for p in pts)
+        bases = _bases(model, pts)
+        rows = tuple(
+            tuple(kernel_entry(model, p, q, bases[p[1]], bases[q[1]]) for q in pts) for p in pts
+        )
         return cls(model, pts, rows)
 
     def determinant(self) -> Fraction:
+        pts, bases = self.points, _bases(self.model, self.points)
         return _det_rational(
             [
-                [_gauge(self.model, p, q, value) for q, value in zip(self.points, row)]
-                for p, row in zip(self.points, self.entries)
+                [_gauge(p, q, value, bases[p[1]], bases[q[1]]) for q, value in zip(pts, row)]
+                for p, row in zip(pts, self.entries)
             ]
         )
 

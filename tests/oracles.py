@@ -15,13 +15,15 @@ of the sampler's transition tables and the coupled transfer series, the
 limiting difference operator and the tangency of the inscribed ellipse, a
 gauge conjugation of kernel matrices, the brute-force listing of every
 path family by a depth-first walk over move vectors, against the forward
-count over run-hole successors, occupation tables from one pass over that
-listing, the trajectory checks and path codes read time by time and point
-by point, against the library's path columns, and quadrature of the arc
-integrals that ``bulk.arc_integral`` evaluates in closed form.  For the
-quadrature, adaptive Simpson serves short offsets; composite Gauss-Legendre,
-one panel per oscillation, serves offsets in the thousands, where the
-adaptive oracle runs out of panels.
+count over run-hole successors, the hexagon's family count as an N x N
+determinant of binomial step counts, against MacMahon's box product,
+occupation tables from one pass over that listing, the trajectory checks
+and path codes read time by time and point by point, against the
+library's path columns, and quadrature of the arc integrals that
+``bulk.arc_integral`` evaluates in closed form.  For the quadrature,
+adaptive Simpson serves short offsets; composite Gauss-Legendre, one panel
+per oscillation, serves offsets in the thousands, where the adaptive oracle
+runs out of panels.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from hahn_paths import (
     slice_params,
 )
 from hahn_paths import hahn as hahn_module
-from hahn_paths.combinatorics import det_bareiss
+from hahn_paths.combinatorics import count_path_families, det_bareiss
 from hahn_paths.hahn import (
     _hahn_norm2_signed,
     _pochhammer_weight,
@@ -580,6 +582,12 @@ def gauge_transform(matrix: KernelMatrix, gauge) -> KernelMatrix:
         for fi, row in zip(factors, matrix.entries)
     )
     return KernelMatrix(matrix.model, matrix.points, rows)
+
+
+def hexagon_count_lgv(model: ModelParams) -> int:
+    """The families of the model as one N x N determinant of binomial step counts."""
+    ends = [model.S + i for i in range(model.N)]
+    return count_path_families(0, list(range(model.N)), model.T, ends)
 
 
 def enumerate_path_families(model: ModelParams) -> list[Trajectory]:

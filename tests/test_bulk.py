@@ -29,6 +29,7 @@ from hahn_paths import (
 )
 from hahn_paths import bulk
 from hahn_paths.bulk import arc_integral, arc_monomial, arccos_argument
+from hahn_paths.hahn import slice_basis
 from oracles import (
     IMAG_ABS_FLOOR,
     IMAG_REL_TOL,
@@ -260,6 +261,17 @@ def test_each_form_answers_its_case(monkeypatch, case, later_forms):
     assert abs(closed - quad) < 1e-12, (case, closed, quad)
 
 
+@pytest.mark.parametrize("side", list(Side))
+def test_unit_offset_past_the_partial_fractions_takes_the_endpoint_series(monkeypatch, side):
+    # At dx = 1, dt = -1 and c = 1e-5 the partial fractions' bound of 2.2e-11
+    # refuses them, and the endpoint series answers at m = dx = 1.  Sending
+    # dx = 1 through the inversion instead asks it for m = 0.
+    monkeypatch.setattr(bulk, "_w_series", _must_not_run)
+    closed = arc_integral(1e-5, 2.0, 1, -1, side)
+    quad = _check_real(_unit_arc_integral(1e-5, 2.0, 1, -1, side))
+    assert abs(closed - quad) < 1e-12, (closed, quad)
+
+
 def test_precision_loss_names_the_case():
     with pytest.raises(PrecisionLossError, match=r"c=1.0, phi=2.9, dx=60, dt=-3 \(right arc\)"):
         arc_integral(1.0, 2.9, 60, -3, Side.RIGHT)
@@ -456,6 +468,20 @@ def test_bulk_limit_error_is_at_most_one_over_rho_off_the_symmetric_regime(regim
     # rho = 320, though not smoothly (see the rate table in CHANGES.md).
     for row in convergence_probe(regime, PROBE_OFFSETS, RATE_RHOS).rows:
         assert row.rho * row.max_error <= 1.0, row.rho
+
+
+def test_probe_rows_at_odd_rho_hold_their_own_bases():
+    # Measured: rho * max_error is 0.2661 and 0.2666 at rho = 81 and 161,
+    # against 0.3155 and 0.3185 at rho = 80 and 160.  Each row builds the
+    # bases of its 5-slice window itself; only the slice each model's kernel
+    # factors refer to enters the shared cache.
+    before = slice_basis.cache_info()
+    rows = convergence_probe(CENTER, PROBE_OFFSETS, [81, 161]).rows
+    after = slice_basis.cache_info()
+    assert after.misses - before.misses <= len(rows)
+    assert after.currsize - before.currsize <= len(rows)
+    for row in rows:
+        assert 0.26 <= row.rho * row.max_error <= 0.27, row.rho
 
 
 def test_convergence_probe_frozen_point():

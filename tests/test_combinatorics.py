@@ -14,7 +14,7 @@ from hahn_paths import (
 )
 from hahn_paths import combinatorics
 from hahn_paths.combinatorics import binomial, det_bareiss
-from oracles import enumerate_path_families
+from oracles import enumerate_path_families, hexagon_count_lgv
 
 
 def test_binomial_extension():
@@ -135,6 +135,33 @@ def test_counts_equal_macmahon_box_product():
         want = macmahon(model.N, model.S, model.T - model.S)
         assert model.family_count() == want, model
         assert sum(combinatorics._forward(model)[-1].values()) == want, model
+
+
+def test_box_product_equals_the_lgv_determinant():
+    models = sweep_models(4, 8) + [
+        ModelParams(*m) for m in ((1, 0, 0), (40, 40, 80), (30, 17, 52), (9, 40, 41))
+    ]
+    for model in models:
+        assert model.family_count() == hexagon_count_lgv(model), model
+
+
+def test_query_pass_stops_at_the_last_query_time():
+    # The hits close at the last query time with the turned layer; the full
+    # filtered pass to T, which family_counts no longer runs, is the check.
+    for model in sweep_models(3, 6):
+        top = model.S + model.N
+        rng = random.Random(f"last-time {model}")
+        for _ in range(4):
+            t = rng.randrange(model.T + 1)
+            single = [(x, t) for x in rng.sample(range(-1, top + 1), 2)]
+            spread = [(rng.randrange(-1, top + 1), s) for s in sorted({0, t, model.T})]
+            for query in (single, spread, single[:1]):
+                want = sum(combinatorics._forward(model, query)[-1].values())
+                assert combinatorics.family_counts(model, query)[2] == want, (model, query)
+    model = ModelParams(2, 2, 4)
+    for t in (-1, model.T + 1):
+        with pytest.raises(ValueError, match=f"query time {t} outside 0..4"):
+            combinatorics.family_counts(model, [(0, t)])
 
 
 @pytest.mark.parametrize(
