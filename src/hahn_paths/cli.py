@@ -37,7 +37,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .hahn import slice_params
-from .kernels import CorrelationQuery, KernelMatrix, static_matrix
+from .kernels import CorrelationQuery, KernelMatrix, static_kernel
 from .process import sample_trajectory
 from .render import STYLES, render_svg
 
@@ -240,7 +240,7 @@ def cmd_kernel(args) -> int:
                 f"--static-t work support^2 (N + T^2/10^4) = {work:.4g}"
                 f" exceeds the cap {KERNEL_MAX_STATIC_WORK:.4g}"
             )
-        matrix = static_matrix(model, t)
+        matrix = [[static_kernel(model, t, x, y) for y in support] for x in support]
         floats = [[float(v) for v in row] for row in matrix]
         report["static_t"] = t
         report["static_support"] = support

@@ -72,8 +72,8 @@ def kernel_entry(
     for N <= i <= min(M_s, M_t) when s < t.  The coefficient is one integer
     dot product of the two scaled columns against the slices' radical factors
     a_i(s) b_i(t) = sqrt(R_i / R_lo), divided once by the denominators.  A
-    caller that reads many entries of a few slices fetches their bases once,
-    or builds bases of its own that it drops when done.
+    caller that reads many entries of slices it will not revisit builds those
+    bases itself and drops them when done, so they stay out of ``slice_basis``.
     """
     x, s = p
     y, t = q
@@ -104,22 +104,16 @@ def kernel_entry(
     return SignedSqrt(Fraction(sign * acc, den_x * den_y * ref), radicand * ratio_sq)
 
 
-def static_matrix(model: ModelParams, t: int) -> list[list[SignedSqrt]]:
-    """The static kernel on every pair of slice t's support points, from one basis."""
-    basis = slice_basis(model, t)
-    return [
-        [kernel_entry(model, (x, t), (y, t), basis, basis) for y in basis.support]
-        for x in basis.support
-    ]
-
-
 def _gauge(
-    p: tuple[int, int], q: tuple[int, int], value: SignedSqrt, b_s: _SliceBasis, b_t: _SliceBasis
+    model: ModelParams, p: tuple[int, int], q: tuple[int, int], value: SignedSqrt
 ) -> Fraction:
-    """An entry value at (p; q) carried into the rationalizing gauge, from p's and q's bases."""
+    """An entry value at (p; q) carried into the rationalizing gauge."""
     if value.is_zero():
         return Fraction(0)
-    x, y = p[0], q[0]
+    x, s = p
+    y, t = q
+    b_s = slice_basis(model, s)
+    b_t = slice_basis(model, t)
     # The squared gauge factor of a slice is its 0-th norm: the norm recursion
     # n_i^{t+1} = n_i^t c_i(t)^2 kappa_t (rational square) has an i-independent
     # core kappa_t, and since c_0 = 1 identically the accumulated product of
@@ -223,11 +217,6 @@ def _balanced(entries) -> tuple[tuple[SignedSqrt, ...], ...]:
     )
 
 
-def _bases(model: ModelParams, points) -> dict[int, _SliceBasis]:
-    """The basis of each slice the points lie on, fetched once per slice."""
-    return {t: slice_basis(model, t) for t in {t for _, t in points}}
-
-
 @dataclass(frozen=True)
 class KernelMatrix:
     """Exact extended-kernel values on all ordered pairs of query points.
@@ -244,18 +233,14 @@ class KernelMatrix:
     @classmethod
     def build(cls, model: ModelParams, query: CorrelationQuery) -> KernelMatrix:
         pts = query.points
-        bases = _bases(model, pts)
-        rows = tuple(
-            tuple(kernel_entry(model, p, q, bases[p[1]], bases[q[1]]) for q in pts) for p in pts
-        )
+        rows = tuple(tuple(extended_kernel(model, p, q) for q in pts) for p in pts)
         return cls(model, pts, rows)
 
     def determinant(self) -> Fraction:
-        pts, bases = self.points, _bases(self.model, self.points)
         return _det_rational(
             [
-                [_gauge(p, q, value, bases[p[1]], bases[q[1]]) for q, value in zip(pts, row)]
-                for p, row in zip(pts, self.entries)
+                [_gauge(self.model, p, q, value) for q, value in zip(self.points, row)]
+                for p, row in zip(self.points, self.entries)
             ]
         )
 

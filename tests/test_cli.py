@@ -251,7 +251,7 @@ def test_kernel_csv_rejected_before_any_work(capsys, monkeypatch, tmp_path, argv
         raise AssertionError("kernel work started")
 
     monkeypatch.setattr(cli.KernelMatrix, "build", fail)
-    monkeypatch.setattr(cli, "static_matrix", fail)
+    monkeypatch.setattr(cli, "static_kernel", fail)
     out = tmp_path / "k.csv"
     code, _, err = run(
         capsys, "kernel", "--model", "2,1,3", "--format", "csv", "--out", str(out), *argv
@@ -294,7 +294,7 @@ def test_kernel_cost_cap_exit_3_before_any_work(capsys, monkeypatch, tmp_path, a
 
     monkeypatch.setattr(kernels, "slice_basis", fail)
     monkeypatch.setattr(cli.KernelMatrix, "build", fail)
-    monkeypatch.setattr(cli, "static_matrix", fail)
+    monkeypatch.setattr(cli, "static_kernel", fail)
     out = tmp_path / "k.json"
     code, _, err = run(capsys, "kernel", *argv, "--out", str(out))
     assert code == 3
@@ -314,7 +314,7 @@ def test_kernel_static_t_out_of_range_exit_2_before_any_work(capsys, monkeypatch
         raise AssertionError("kernel work started")
 
     monkeypatch.setattr(kernels, "slice_basis", fail)
-    monkeypatch.setattr(cli, "static_matrix", fail)
+    monkeypatch.setattr(cli, "static_kernel", fail)
     code, out, err = run(capsys, "kernel", "--model", "160,160,320", "--static-t", t)
     assert code == 2
     assert err == f"error: t={t} outside 0..320\n"
@@ -326,8 +326,7 @@ def test_kernel_static_work_cap_admits_its_bound(capsys, monkeypatch):
     assert static_work("155,155,310", 155) <= cli.KERNEL_MAX_STATIC_WORK < static_work(
         "160,160,320", 160
     )
-    zero = hahn_paths.SignedSqrt.zero()
-    monkeypatch.setattr(cli, "static_matrix", lambda model, t: [[zero] * 310] * 310)
+    monkeypatch.setattr(cli, "static_kernel", lambda *args: hahn_paths.SignedSqrt.zero())
     doc = run_json(capsys, "kernel", "--model", "155,155,310", "--static-t", "155")
     assert len(doc["static_support"]) == 310
 

@@ -21,7 +21,7 @@ from hahn_paths import (
 )
 from hahn_paths import kernels
 from hahn_paths.hahn import slice_basis
-from hahn_paths.kernels import _balanced, _det_float_report, _gauge, static_matrix
+from hahn_paths.kernels import _balanced, _det_float_report, _gauge
 from oracles import (
     coupling_coefficient_sq,
     eynard_mehta_correlation,
@@ -223,23 +223,14 @@ def test_kernels_hold_no_cache():
     assert slice_basis(model, 2)._factors and slice_basis(model, 5)._factors
 
 
-def test_static_matrix_is_the_static_kernel_on_the_support():
-    for model in sweep_models(3, 5):
-        for t in range(model.T + 1):
-            support = slice_basis(model, t).support
-            want = [[static_kernel(model, t, x, y) for y in support] for x in support]
-            assert static_matrix(model, t) == want, (model, t)
-
-
 @pytest.mark.parametrize(
     "model", [ModelParams(3, 2, 5), ModelParams(7, 12, 30), ModelParams(20, 20, 40)], ids=str
 )
 def test_static_trace_is_n_on_every_slice(model):
     # The static kernel projects onto N functions, so its trace is N exactly.
     for t in range(model.T + 1):
-        matrix = static_matrix(model, t)
-        trace = sum((row[i].as_rational() for i, row in enumerate(matrix)), Fraction(0))
-        assert trace == model.N, t
+        diagonal = (static_kernel(model, t, x, x) for x in slice_basis(model, t).support)
+        assert sum((v.as_rational() for v in diagonal), Fraction(0)) == model.N, t
 
 
 def test_radicand_parts_share_the_lo_0_entries():
@@ -447,8 +438,7 @@ def test_gauged_entries_are_rational():
     pts = all_points(model)
     for p in pts[:6]:
         for q in pts[-6:]:
-            b_s, b_t = slice_basis(model, p[1]), slice_basis(model, q[1])
-            value = _gauge(p, q, extended_kernel(model, p, q), b_s, b_t)
+            value = _gauge(model, p, q, extended_kernel(model, p, q))
             assert isinstance(value, Fraction)
 
 
