@@ -416,8 +416,8 @@ def convergence_probe(
     extended sine kernel, which does not depend on rho and is evaluated
     once per offset.  If the rounded base point violates a needed support,
     x is repaired within +-1 and the repair recorded.  Each row builds the
-    bases of its window's slices itself and drops them when it ends, so only
-    the slice each model's kernel factors refer to enters ``slice_basis``.
+    bases of its window's slices itself and drops them when it ends, so the
+    probe leaves ``slice_basis`` untouched.
     """
     params = limit_params(regime)
     x_dist, _, d3, d4 = regime.box_distances

@@ -6,9 +6,8 @@ and shift follow from one closed form in t, through the support's left
 end max(0, t+S-T) and max(t, S).
 
 All evaluation is exact rational arithmetic.  The weight is kept in the
-manifestly positive factorial form; the Pochhammer form (with large
-negative integer parameters) is used only for the closed-form norms, with
-its constant sign tracked explicitly.
+manifestly positive factorial form, and every norm is a ratio of factorials
+of non-negative integers.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, perm
+from math import comb, factorial, gcd, perm
 
 from .combinatorics import ModelParams
 from .errors import DegenerateParameterError, IncompatibleRadicalsError
@@ -45,14 +44,6 @@ class SliceParams:
         return range(self.shift, self.shift + self.M + 1)
 
 
-def pochhammer(a, n: int):
-    """Rising factorial a (a+1) ... (a+n-1)."""
-    result = 1
-    for i in range(n):
-        result *= a + i
-    return result
-
-
 def slice_params(model: ModelParams, t: int) -> SliceParams:
     """Hahn parameters of the time-t slice, on the support max(0, t+S-T)..min(t, S)+N-1."""
     N, S, T = model.N, model.S, model.T
@@ -75,26 +66,6 @@ def slice_weight(model: ModelParams, t: int, x: int) -> Fraction:
     for a in args:
         denom *= factorial(a)
     return Fraction(1, denom)
-
-
-def _pochhammer_weight(xp: int, alpha: int, beta: int, M: int) -> Fraction:
-    return Fraction(
-        pochhammer(alpha + 1, xp) * pochhammer(beta + 1, M - xp),
-        factorial(xp) * factorial(M - xp),
-    )
-
-
-def _hahn_norm2_signed(k: int, alpha: int, beta: int, M: int) -> Fraction:
-    """Closed-form squared norm of Q_k w.r.t. the (signed) Pochhammer weight."""
-    num = (-1) ** k * pochhammer(k + alpha + beta + 1, M + 1) * pochhammer(beta + 1, k)
-    num *= factorial(k)
-    den = (2 * k + alpha + beta + 1) * pochhammer(alpha + 1, k) * pochhammer(-M, k)
-    den *= factorial(M)
-    if den == 0:
-        raise DegenerateParameterError(
-            f"degenerate norm denominator for k={k}, alpha={alpha}, beta={beta}, M={M}"
-        )
-    return Fraction(num, den)
 
 
 def _norm_ratio(k: int, alpha: int, beta: int, M: int) -> tuple[int, int]:
@@ -191,26 +162,24 @@ class _SliceBasis:
     (D, [D Q_0(x'), ..., D Q_j(x')]) with D the least common denominator,
     so that a kernel entry sums integer products, and each recurrence step
     works on those integers directly (see ``scaled_column``).  Norms are
-    taken w.r.t. the factorial-form weight, obtained from the closed form
-    through the constant Pochhammer/factorial ratio lambda, read at the left
-    end of the support.  The slice's factors of the kernel radicands are memoized too.
+    taken w.r.t. the factorial-form weight, from their closed form in
+    falling factorials (see ``norm2``).  The slice's factors of the kernel
+    radicands are memoized too.  A basis reads no other basis, so a caller
+    may build one outside ``slice_basis`` and drop it when done.
     """
 
     def __init__(self, model: ModelParams, t: int):
         self._model = model
         self._t = t
         self.params = slice_params(model, t)
-        p = self.params
-        self.support = p.support
+        self.support = self.params.support
         self._weights: dict[int, Fraction] = {}
         self._coefficients: list[tuple[int, int, int, int]] = []
         self._columns: dict[int, tuple[int, list[int]]] = {}
         self._norm_memo: dict[int, Fraction] = {}
         self._factors: dict[int, tuple[int, list[int], int, list[int]]] = {}
-        self._ref_steps: list[tuple[int, int]] = []
         self._radicand_scales: dict[int, Fraction] = {}
         self._radicand_parts: dict[tuple[int, int], Fraction] = {}
-        self.lam = _pochhammer_weight(0, p.alpha, p.beta, p.M) / self.weight(p.shift)
 
     def weight(self, x: int) -> Fraction:
         """Factorial-form weight at model coordinate x; zero off the support."""
@@ -249,11 +218,32 @@ class _SliceBasis:
         return Fraction(ints[k], den)
 
     def norm2(self, k: int) -> Fraction:
-        """Squared norm of Q_k w.r.t. the factorial-form weight, from the closed form."""
+        """Squared norm n_k of Q_k w.r.t. the factorial-form weight, from the closed form.
+
+        By Vandermonde's identity n_0 = sum_x w(x) = C(T+2N-2, t+N-1) /
+        ((S+N-1)! (T-S+N-1)!).  With s = T + 2N, a = -alpha-1, b = -beta-1 and
+        the falling factorial u_(k) = u! / (u-k)!, the closed form of
+        Koekoek-Lesky-Swarttouw (9.5.2) reads n_k / n_0 = (s-M-2)_(k) b_(k) k!
+        (s-1) / ((s-1)_(k) (s-1-2k) a_(k) M_(k)).  On a slice a, b >= M,
+        s-M-2 >= M and s-1-2k >= 1, so no factor vanishes for 0 <= k <= M.
+        """
         value = self._norm_memo.get(k)
         if value is None:
-            p = self.params
-            value = _hahn_norm2_signed(k, p.alpha, p.beta, p.M) / self.lam
+            p, model = self.params, self._model
+            M, N, S, T = p.M, model.N, model.S, model.T
+            if not 0 <= k <= M:
+                raise ValueError(f"need 0 <= k <= M, got k={k}, M={M}")
+            s = T + 2 * N
+            if k:
+                ratio = Fraction(
+                    perm(s - M - 2, k) * perm(-p.beta - 1, k) * factorial(k) * (s - 1),
+                    perm(s - 1, k) * (s - 1 - 2 * k) * perm(-p.alpha - 1, k) * perm(M, k),
+                )
+                value = self.norm2(0) * ratio
+            else:
+                value = Fraction(
+                    comb(s - 2, self._t + N - 1), factorial(S + N - 1) * factorial(T - S + N - 1)
+                )
             self._norm_memo[k] = value
         return value
 
@@ -269,7 +259,7 @@ class _SliceBasis:
         the norm ratios at t and ref and g_(i-1) / g_i = (t+N-i) / (T+N-t-i) (both
         terms >= 1 for i <= M_t <= M_ref), is reduced once and its root taken as
         two integer roots, and b's step is n_(i-1) / n_i over that root.  Each list is
-        kept over its lcd by ``_extend_over_lcd``; every slice shares the ref's steps.
+        kept over its lcd by ``_extend_over_lcd``.
         """
         factors = self._factors.get(lo, (1, [1], 1, [1]))
         den_a, a, den_b, b = factors
@@ -277,16 +267,12 @@ class _SliceBasis:
             return factors
         model, t, a_steps, b_steps = self._model, self._t, [], []
         N, T, r = model.N, model.T, min(model.S, model.T - model.S)
-        p, ref = self.params, slice_basis(model, r)
-        q, ref_steps = ref.params, ref._ref_steps  # (T+N-r-i) r_num, (r+N-i) r_den
-        for i in range(len(ref_steps) + 1, hi + 1):
-            r_num, r_den = _norm_ratio(i, q.alpha, q.beta, q.M)
-            ref_steps.append(((T + N - r - i) * r_num, (r + N - i) * r_den))
+        p, q = self.params, slice_params(model, r)
         for i in range(lo + len(a), hi + 1):
             t_num, t_den = _norm_ratio(i, p.alpha, p.beta, p.M)
-            r_num, r_den = ref_steps[i - 1]
-            sq_num = (t + N - i) * t_den * r_num
-            sq_den = (T + N - t - i) * t_num * r_den
+            r_num, r_den = _norm_ratio(i, q.alpha, q.beta, q.M)
+            sq_num = (t + N - i) * t_den * (T + N - r - i) * r_num
+            sq_den = (T + N - t - i) * t_num * (r + N - i) * r_den
             if not (sq_num and sq_den):
                 raise DegenerateParameterError(f"zero factor in a norm ratio at k={i}: {p}, {q}")
             root_num, root_den = map(exact_isqrt, _reduced(sq_num, sq_den))

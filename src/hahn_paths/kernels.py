@@ -73,7 +73,8 @@ def kernel_entry(
     dot product of the two scaled columns against the slices' radical factors
     a_i(s) b_i(t) = sqrt(R_i / R_lo), divided once by the denominators.  A
     caller that reads many entries of slices it will not revisit builds those
-    bases itself and drops them when done, so they stay out of ``slice_basis``.
+    bases itself and drops them when done; a basis reads no other basis, so
+    such a caller leaves ``slice_basis`` untouched.
     """
     x, s = p
     y, t = q

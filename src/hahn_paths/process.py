@@ -24,12 +24,12 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
-from math import gcd, prod
+from math import gcd, perm, prod
 from operator import floordiv, mul, sub
 
 from .combinatorics import ModelParams, Successors, Trajectory, run_holes
 from .errors import SamplerSizeError, TransitionRowSumError
-from .hahn import pochhammer, slice_basis, slice_params
+from .hahn import slice_basis, slice_params
 from .radicals import SignedSqrt
 
 SAMPLER_MAX_PATHS = 20
@@ -44,21 +44,19 @@ def _vandermonde(z: tuple[int, ...]) -> int:
     return v
 
 
-def _leading_coefficient(k: int, alpha: int, beta: int, M: int) -> Fraction:
-    return Fraction(
-        pochhammer(k + alpha + beta + 1, k),
-        pochhammer(-M, k) * pochhammer(alpha + 1, k),
-    )
-
-
 @lru_cache(maxsize=1024)
 def _normalization(model: ModelParams, t: int) -> Fraction:
-    """Partition function of the slice-t ensemble, from the closed-form norms."""
+    """Partition function of the slice-t ensemble, prod_(k<N) n_k / kappa_k^2.
+
+    Q_k's leading coefficient is kappa_k = (k+alpha+beta+1)_k / ((-M)_k (alpha+1)_k)
+    in rising factorials; with s = T + 2N, a = -alpha-1 and the falling factorial
+    u_(k) = u! / (u-k)!, kappa_k^2 = ((s-k-1)_(k) / (M_(k) a_(k)))^2.
+    """
     basis = slice_basis(model, t)
-    p = basis.params
+    M, a, s = basis.params.M, -basis.params.alpha - 1, model.T + 2 * model.N
     z = Fraction(1)
     for k in range(model.N):
-        kappa = _leading_coefficient(k, p.alpha, p.beta, p.M)
+        kappa = Fraction(perm(s - k - 1, k), perm(M, k) * perm(a, k))
         z *= basis.norm2(k) / (kappa * kappa)
     return z
 
@@ -106,7 +104,7 @@ def transition_probability(
             num *= N + S - xi - 1
         else:
             num *= xi + T - t - S
-    return Fraction(num, _vandermonde(x) * pochhammer(T - t, N))
+    return Fraction(num, _vandermonde(x) * perm(T - t + N - 1, N))
 
 
 def transfer_matrix(model: ModelParams, t: int, x: int, y: int) -> SignedSqrt:
@@ -201,7 +199,7 @@ def _build_transition_table(
     if scale != 1:
         cum = list(map(floordiv, cum, repeat(scale)))
     total = cum[-1] if cum else 0
-    row = delta_x * pochhammer(T - t, N)
+    row = delta_x * perm(T - t + N - 1, N)
     if total != row:
         raise TransitionRowSumError(
             f"transition row sum {total} != {row} at t={t}, x={positions}"

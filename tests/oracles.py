@@ -1,8 +1,10 @@
 """Reference implementations that the tests compare the library against.
 
 Each function here computes a quantity a second way, independently of the
-path the library takes: the terminating Hahn series and the closed-form
-norms against the recurrence columns and chained norms, the classical
+path the library takes: the terminating Hahn series and the signed
+Pochhammer weight, closed-form norms and leading coefficients, with their
+negative parameters, against the recurrence columns and the library's norms
+in factorials of non-negative integers, the classical
 identities of the slice polynomials, recurrence columns stepped in
 Fractions and in reduced integer pairs, and kernel pair tables and per-slice
 radical factors stepped in Fractions, against the library's integers over a
@@ -53,14 +55,7 @@ from hahn_paths import (
 )
 from hahn_paths import hahn as hahn_module
 from hahn_paths.combinatorics import count_path_families, det_bareiss
-from hahn_paths.hahn import (
-    _hahn_norm2_signed,
-    _pochhammer_weight,
-    _recurrence_coefficients,
-    pochhammer,
-    slice_basis,
-)
-from hahn_paths.hahn import _reduced
+from hahn_paths.hahn import _recurrence_coefficients, _reduced, slice_basis
 from hahn_paths.process import _validate_config, _vandermonde
 from hahn_paths.radicals import sqrt_fraction
 
@@ -214,6 +209,47 @@ def _check_real(value: complex) -> float:
 
 class ParameterRegimeError(Exception):
     """Parameters are outside the regime where the requested quantity is positive/defined."""
+
+
+def pochhammer(a, n: int):
+    """Rising factorial a (a+1) ... (a+n-1)."""
+    result = 1
+    for i in range(n):
+        result *= a + i
+    return result
+
+
+def _pochhammer_weight(xp: int, alpha: int, beta: int, M: int) -> Fraction:
+    """The Hahn weight C(alpha+x', x') C(beta+M-x', M-x') in Pochhammer form, signed."""
+    return Fraction(
+        pochhammer(alpha + 1, xp) * pochhammer(beta + 1, M - xp),
+        math.factorial(xp) * math.factorial(M - xp),
+    )
+
+
+def _hahn_norm2_signed(k: int, alpha: int, beta: int, M: int) -> Fraction:
+    """Closed-form squared norm of Q_k w.r.t. the (signed) Pochhammer weight.
+
+    Koekoek-Lesky-Swarttouw (9.5.2), with its negative parameters and sign as
+    they stand.
+    """
+    num = (-1) ** k * pochhammer(k + alpha + beta + 1, M + 1) * pochhammer(beta + 1, k)
+    num *= math.factorial(k)
+    den = (2 * k + alpha + beta + 1) * pochhammer(alpha + 1, k) * pochhammer(-M, k)
+    den *= math.factorial(M)
+    if den == 0:
+        raise DegenerateParameterError(
+            f"degenerate norm denominator for k={k}, alpha={alpha}, beta={beta}, M={M}"
+        )
+    return Fraction(num, den)
+
+
+def leading_coefficient(k: int, alpha: int, beta: int, M: int) -> Fraction:
+    """Q_k's leading coefficient (k+alpha+beta+1)_k / ((-M)_k (alpha+1)_k), signed."""
+    return Fraction(
+        pochhammer(k + alpha + beta + 1, k),
+        pochhammer(-M, k) * pochhammer(alpha + 1, k),
+    )
 
 
 def hahn_q(k: int, xp: int, alpha: int, beta: int, M: int) -> Fraction:

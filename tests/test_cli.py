@@ -413,6 +413,19 @@ def test_sample_and_render_outputs_are_pinned(capsys, monkeypatch, tmp_path):
     assert digest.hexdigest() == SAMPLE_DIGEST
 
 
+def test_failed_replace_leaves_no_temporary_file(capsys, monkeypatch, tmp_path):
+    def fail(*args):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    code, out, err = run(
+        capsys, "enumerate", "--model", "2,1,2", "--out", str(tmp_path / "e.json")
+    )
+    assert code == 2
+    assert err.startswith("error:") and not out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_requires_out(capsys):
     code, _, _ = run(capsys, "sample", "--model", "1,1,2", "--samples", "1")
     assert code == 2

@@ -12,17 +12,15 @@ from hahn_paths import (
     slice_params,
     slice_weight,
 )
-from hahn_paths.hahn import (
-    _SliceBasis,
-    _hahn_norm2_signed,
-    _norm_ratio,
-    _pochhammer_weight,
-    _recurrence_coefficients,
-    slice_basis,
-)
+from hahn_paths import hahn
+from hahn_paths.hahn import _SliceBasis, _norm_ratio, _recurrence_coefficients, slice_basis
+from hahn_paths.process import _normalization
 from oracles import (
     Case,
     ParameterRegimeError,
+    _hahn_norm2_signed,
+    _pochhammer_weight,
+    leading_coefficient,
     admissible_cases,
     case_params,
     param_tuple,
@@ -217,7 +215,7 @@ def test_norm_closed_form_matches_direct_sum(model):
                 basis.weight(x) * basis.q(k, x) ** 2 for x in basis.support
             )
             assert basis.norm2(k) == direct
-            assert hahn_norm2(k, p.alpha, p.beta, p.M) == abs(basis.lam) * direct
+            assert hahn_norm2(k, p.alpha, p.beta, p.M) == abs(_lam(basis)) * direct
             signed = sum(
                 _pochhammer_weight(xp, p.alpha, p.beta, p.M)
                 * hahn_q(k, xp, p.alpha, p.beta, p.M) ** 2
@@ -226,17 +224,80 @@ def test_norm_closed_form_matches_direct_sum(model):
             assert _hahn_norm2_signed(k, p.alpha, p.beta, p.M) == signed
 
 
+def _lam(basis) -> Fraction:
+    """The constant ratio of a slice's signed Pochhammer weight to its factorial weight."""
+    p = basis.params
+    return _pochhammer_weight(0, p.alpha, p.beta, p.M) / basis.weight(p.shift)
+
+
 @pytest.mark.parametrize("model", small_sweep(), ids=str)
 def test_pochhammer_factorial_proportionality(model):
     for t in range(model.T + 1):
         basis = slice_basis(model, t)
         p = basis.params
-        lam = basis.lam
+        lam = _lam(basis)
         assert lam * (-1) ** p.M > 0
         for x in basis.support:
             assert _pochhammer_weight(x - p.shift, p.alpha, p.beta, p.M) == (
                 lam * basis.weight(x)
             )
+
+
+LARGE_NORM_MODELS = [ModelParams(80, 80, 160), ModelParams(60, 25, 130)]
+
+
+def _large_slices(model: ModelParams) -> list[int]:
+    r = min(model.S, model.T - model.S)
+    return [0, 1, r, model.T - 1, model.T]
+
+
+@pytest.mark.parametrize("model", LARGE_NORM_MODELS, ids=str)
+def test_norms_at_large_n_equal_the_signed_pochhammer_form(model):
+    # 19 slices and degrees per model, from the frozen ends to the widest
+    # slice, each against the oracle's signed closed form over lambda.
+    checked = 0
+    for t in _large_slices(model):
+        basis = _SliceBasis(model, t)
+        p, lam = basis.params, _lam(basis)
+        for k in sorted({0, 1, model.N - 1, model.N, p.M} & set(range(p.M + 1))):
+            assert basis.norm2(k) == _hahn_norm2_signed(k, p.alpha, p.beta, p.M) / lam
+            checked += 1
+    assert checked == 19
+
+
+@pytest.mark.parametrize("model", LARGE_NORM_MODELS, ids=str)
+def test_partition_function_at_large_n_equals_the_signed_pochhammer_form(model):
+    # Z = prod_(k<N) n_k / kappa_k^2, with n_k and kappa_k both from the
+    # oracle's signed forms.
+    for t in _large_slices(model):
+        basis = _SliceBasis(model, t)
+        p, lam = basis.params, _lam(basis)
+        z = Fraction(1)
+        for k in range(model.N):
+            kappa = leading_coefficient(k, p.alpha, p.beta, p.M)
+            z *= _hahn_norm2_signed(k, p.alpha, p.beta, p.M) / lam / (kappa * kappa)
+        assert _normalization(model, t) == z, t
+
+
+def test_norm_degree_outside_the_slice_raises_value_error():
+    basis = _SliceBasis(ModelParams(3, 2, 5), 2)
+    for k in (-1, basis.params.M + 1):
+        with pytest.raises(ValueError):
+            basis.norm2(k)
+
+
+@pytest.mark.parametrize("model", [ModelParams(3, 2, 5), ModelParams(7, 12, 30)], ids=str)
+def test_a_fresh_basis_builds_its_kernel_factors_without_the_cache(model, monkeypatch):
+    def fail(*args):
+        raise AssertionError("a slice basis read the cache")
+
+    want = {t: slice_basis(model, t) for t in range(1, model.T)}
+    monkeypatch.setattr(hahn, "slice_basis", fail)
+    for t, cached in want.items():
+        basis = _SliceBasis(model, t)
+        M = basis.params.M
+        assert basis.kernel_factors(0, model.N - 1) == cached.kernel_factors(0, model.N - 1), t
+        assert basis.kernel_factors(model.N, M) == cached.kernel_factors(model.N, M), t
 
 
 def test_orthonormal_function_examples():

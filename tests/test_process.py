@@ -20,7 +20,7 @@ from hahn_paths import (
     transfer_matrix,
     transition_probability,
 )
-from hahn_paths.hahn import pochhammer, slice_basis, slice_params
+from hahn_paths.hahn import slice_basis, slice_params
 from hahn_paths.process import (
     _build_transition_table,
     _normalization,
@@ -31,6 +31,7 @@ from hahn_paths.process import (
 from oracles import (
     coupling_coefficient_sq,
     enumerate_path_families,
+    pochhammer,
     transfer_matrix_series,
     transition_probability_determinantal,
     transition_table_walk,
@@ -277,8 +278,8 @@ def test_transition_table_cache_is_bounded(store):
     for seed in range(20):
         sample_trajectory(m, seed)
     assert store.cache_info() == (20 * m.T, 181, 181, info.weights)
-    # Every cache keyed by model is bounded; 1024 slices is above the 283 a
-    # convergence probe at rho = 20, 40, 80 touches.
+    # Every cache keyed by model is bounded.  A convergence probe builds its
+    # slice bases itself and adds no entry to either.
     for cache in (slice_basis, _normalization):
         assert cache.cache_info().maxsize == 1024
 
